@@ -16,23 +16,24 @@ LoopPredictor::LoopPredictor(unsigned log2_entries,
 }
 
 size_t
-LoopPredictor::indexOf(uint64_t ip) const
+LoopPredictor::indexOf(uint64_t ip_hash) const
 {
-    return bits(mix64(ip), 0, indexBits);
+    return bits(ip_hash, 0, indexBits);
 }
 
 uint32_t
-LoopPredictor::tagOf(uint64_t ip) const
+LoopPredictor::tagOf(uint64_t ip_hash) const
 {
-    return static_cast<uint32_t>(bits(mix64(ip), indexBits, 14));
+    return static_cast<uint32_t>(bits(ip_hash, indexBits, 14));
 }
 
 LoopPredictor::LoopPrediction
 LoopPredictor::lookup(uint64_t ip) const
 {
-    const Entry &e = entries[indexOf(ip)];
+    const uint64_t ip_hash = mix64(ip);
+    const Entry &e = entries[indexOf(ip_hash)];
     LoopPrediction out;
-    if (!e.valid || e.tag != tagOf(ip) || e.confidence < kConfidentAt)
+    if (!e.valid || e.tag != tagOf(ip_hash) || e.confidence < kConfidentAt)
         return out;
     out.valid = true;
     // Taken while inside the loop; fall through on the exit iteration.
@@ -43,8 +44,9 @@ LoopPredictor::lookup(uint64_t ip) const
 void
 LoopPredictor::update(uint64_t ip, bool taken)
 {
-    Entry &e = entries[indexOf(ip)];
-    const uint32_t tag = tagOf(ip);
+    const uint64_t ip_hash = mix64(ip);
+    Entry &e = entries[indexOf(ip_hash)];
+    const uint32_t tag = tagOf(ip_hash);
 
     if (!e.valid || e.tag != tag) {
         // Adopt the slot on a not-taken outcome (potential loop exit

@@ -63,8 +63,8 @@ class LoopPredictor
     uint32_t iterMax;
     std::vector<Entry> entries;
 
-    size_t indexOf(uint64_t ip) const;
-    uint32_t tagOf(uint64_t ip) const;
+    size_t indexOf(uint64_t ip_hash) const;     ///< from mix64(ip)
+    uint32_t tagOf(uint64_t ip_hash) const;     ///< from mix64(ip)
 };
 
 } // namespace bpnsp

@@ -8,7 +8,7 @@
 namespace bpnsp {
 
 PerceptronPredictor::PerceptronPredictor(const PerceptronConfig &config)
-    : cfg(config), history(config.maxHistory + 1)
+    : cfg(config), folds(config.maxHistory + 1)
 {
     BPNSP_ASSERT(cfg.numTables >= 1 && cfg.log2Entries >= 1);
     weightMax = (1 << (cfg.weightBits - 1)) - 1;
@@ -23,7 +23,7 @@ PerceptronPredictor::PerceptronPredictor(const PerceptronConfig &config)
     lastIndex.assign(cfg.numTables, 0);
 
     // Geometric history segment endpoints from 1 to maxHistory.
-    segmentLen.resize(cfg.numTables);
+    std::vector<unsigned> segmentLen(cfg.numTables);
     const double ratio =
         cfg.numTables > 1
             ? std::pow(static_cast<double>(cfg.maxHistory),
@@ -38,9 +38,8 @@ PerceptronPredictor::PerceptronPredictor(const PerceptronConfig &config)
     }
     segmentLen.back() = cfg.maxHistory;
 
-    folds.reserve(cfg.numTables);
-    for (unsigned t = 0; t < cfg.numTables; ++t)
-        folds.emplace_back(segmentLen[t], cfg.log2Entries);
+    for (unsigned len : segmentLen)
+        folds.add(len, cfg.log2Entries);
 }
 
 std::string
@@ -53,7 +52,7 @@ PerceptronPredictor::name() const
 size_t
 PerceptronPredictor::indexOf(unsigned table, uint64_t ip) const
 {
-    const uint64_t h = mix64(ip * 31 + table) ^ folds[table].value();
+    const uint64_t h = mix64(ip * 31 + table) ^ folds.value(table);
     return bits(h, 0, cfg.log2Entries);
 }
 
@@ -86,7 +85,7 @@ PerceptronPredictor::update(uint64_t ip, bool taken, bool predicted,
             }
         }
     }
-    pushHistory(taken);
+    folds.push(taken);
 }
 
 void
@@ -96,18 +95,7 @@ PerceptronPredictor::trackOther(uint64_t, InstrClass cls, uint64_t)
     // how real implementations keep global history aligned with the
     // fetch stream.
     if (cls == InstrClass::Call || cls == InstrClass::Ret)
-        pushHistory(true);
-}
-
-void
-PerceptronPredictor::pushHistory(bool taken)
-{
-    // Capture expiring bits before shifting the base register.
-    for (unsigned t = 0; t < cfg.numTables; ++t) {
-        const bool expired = history.at(segmentLen[t] - 1);
-        folds[t].update(taken, expired);
-    }
-    history.push(taken);
+        folds.push(true);
 }
 
 uint64_t

@@ -53,15 +53,12 @@ class PerceptronPredictor : public BranchPredictor
     int32_t weightMin;
 
     std::vector<std::vector<int32_t>> tables;  ///< [table][entry]
-    std::vector<unsigned> segmentLen;          ///< history end per table
-    HistoryRegister history;
-    std::vector<FoldedHistory> folds;          ///< per-table index fold
+    FoldedHistoryBank folds;                   ///< per-table index fold
 
     int32_t sum = 0;
     std::vector<size_t> lastIndex;             ///< indices from predict()
 
     size_t indexOf(unsigned table, uint64_t ip) const;
-    void pushHistory(bool taken);
 };
 
 } // namespace bpnsp

@@ -8,7 +8,7 @@
 namespace bpnsp {
 
 PpmPredictor::PpmPredictor(const PpmConfig &config)
-    : cfg(config), history(config.maxHistory + 1), rng(0x99f1)
+    : cfg(config), folds(config.maxHistory + 1), rng(0x99f1)
 {
     BPNSP_ASSERT(cfg.numTables >= 1);
     tables.assign(cfg.numTables,
@@ -32,11 +32,9 @@ PpmPredictor::PpmPredictor(const PpmConfig &config)
     }
     histLen.back() = cfg.maxHistory;
 
-    idxFold.reserve(cfg.numTables);
-    tagFold.reserve(cfg.numTables);
     for (unsigned t = 0; t < cfg.numTables; ++t) {
-        idxFold.emplace_back(histLen[t], cfg.log2Entries);
-        tagFold.emplace_back(histLen[t], cfg.tagBits);
+        folds.add(histLen[t], cfg.log2Entries);
+        folds.add(histLen[t], cfg.tagBits);
     }
 }
 
@@ -59,10 +57,10 @@ PpmPredictor::predict(uint64_t ip, bool)
     const uint64_t pc_hash = mix64(ip);
     for (unsigned t = 0; t < cfg.numTables; ++t) {
         lastIndex[t] =
-            bits(pc_hash ^ idxFold[t].value() ^ (pc_hash >> (t + 3)), 0,
+            bits(pc_hash ^ folds.value(2 * t) ^ (pc_hash >> (t + 3)), 0,
                  cfg.log2Entries);
         lastTag[t] = static_cast<uint16_t>(
-            bits(pc_hash ^ (tagFold[t].value() << 1) ^ (pc_hash >> 17),
+            bits(pc_hash ^ (folds.value(2 * t + 1) << 1) ^ (pc_hash >> 17),
                  0, cfg.tagBits));
     }
     // Longest-history matching table provides the prediction.
@@ -98,18 +96,7 @@ PpmPredictor::update(uint64_t ip, bool taken, bool predicted, uint64_t)
         e.ctr = SatCounter(3, taken ? 4 : 3);
         e.valid = true;
     }
-    pushHistory(taken);
-}
-
-void
-PpmPredictor::pushHistory(bool taken)
-{
-    for (unsigned t = 0; t < cfg.numTables; ++t) {
-        const bool expired = history.at(histLen[t] - 1);
-        idxFold[t].update(taken, expired);
-        tagFold[t].update(taken, expired);
-    }
-    history.push(taken);
+    folds.push(taken);
 }
 
 uint64_t

@@ -53,9 +53,7 @@ class PpmPredictor : public BranchPredictor
     std::vector<unsigned> histLen;
     std::vector<std::vector<Entry>> tables;
     std::vector<SatCounter> bimodal;
-    HistoryRegister history;
-    std::vector<FoldedHistory> idxFold;
-    std::vector<FoldedHistory> tagFold;
+    FoldedHistoryBank folds;   ///< per table: index, tag
     Rng rng;
 
     // predict() scratch consumed by update()
@@ -65,7 +63,6 @@ class PpmPredictor : public BranchPredictor
     std::vector<uint16_t> lastTag;
 
     size_t bimodalIndex(uint64_t ip) const;
-    void pushHistory(bool taken);
 };
 
 } // namespace bpnsp

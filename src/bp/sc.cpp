@@ -9,23 +9,22 @@ namespace bpnsp {
 
 StatisticalCorrector::StatisticalCorrector(const ScConfig &config)
     : cfg(config), threshold(config.initialThreshold),
-      history(config.histLengths.empty()
-                  ? 2
-                  : config.histLengths.back() + 1)
+      folds(config.histLengths.empty()
+                ? 2
+                : config.histLengths.back() + 1)
 {
     BPNSP_ASSERT(!cfg.histLengths.empty());
+    BPNSP_ASSERT(cfg.weightBits >= 1 && cfg.weightBits <= 8);
     weightMax = (1 << (cfg.weightBits - 1)) - 1;
     weightMin = -(1 << (cfg.weightBits - 1));
 
-    gehl.assign(cfg.histLengths.size(),
-                std::vector<int32_t>(1ull << cfg.log2Entries, 0));
+    gehl.assign(cfg.histLengths.size() << cfg.log2Entries, 0);
     bias.assign(1ull << (cfg.log2Entries + 1), 0);
     imliTable.assign(1ull << cfg.log2Imli, 0);
     lastIndex.assign(cfg.histLengths.size(), 0);
 
-    folds.reserve(cfg.histLengths.size());
     for (unsigned len : cfg.histLengths)
-        folds.emplace_back(len, cfg.log2Entries);
+        folds.add(len, cfg.log2Entries);
 }
 
 bool
@@ -44,11 +43,12 @@ StatisticalCorrector::predict(uint64_t ip, bool primary_pred,
                          cfg.log2Entries + 1);
     sum += 2 * bias[lastBiasIndex] + 1;
 
-    for (size_t t = 0; t < gehl.size(); ++t) {
-        lastIndex[t] = bits(pc_hash ^ folds[t].value() ^
+    for (unsigned t = 0; t < folds.size(); ++t) {
+        lastIndex[t] = (static_cast<size_t>(t) << cfg.log2Entries) |
+                       bits(pc_hash ^ folds.value(t) ^
                                 (pc_hash >> (t + 4)),
                             0, cfg.log2Entries);
-        sum += 2 * gehl[t][lastIndex[t]] + 1;
+        sum += 2 * gehl[lastIndex[t]] + 1;
     }
 
     lastImliIndex = bits(pc_hash ^ mix64(imli), 0, cfg.log2Imli);
@@ -65,7 +65,7 @@ StatisticalCorrector::predict(uint64_t ip, bool primary_pred,
 }
 
 void
-StatisticalCorrector::adjust(int32_t &w, bool taken)
+StatisticalCorrector::adjust(int8_t &w, bool taken)
 {
     if (taken) {
         if (w < weightMax)
@@ -101,8 +101,8 @@ StatisticalCorrector::update(uint64_t ip, bool taken, uint64_t target)
     // Train on mispredictions and low-margin correct predictions.
     if (finalPred != taken || std::abs(sum) < threshold * 2) {
         adjust(bias[lastBiasIndex], taken);
-        for (size_t t = 0; t < gehl.size(); ++t)
-            adjust(gehl[t][lastIndex[t]], taken);
+        for (size_t index : lastIndex)
+            adjust(gehl[index], taken);
         adjust(imliTable[lastImliIndex], taken);
     }
 
@@ -121,18 +121,14 @@ StatisticalCorrector::update(uint64_t ip, bool taken, uint64_t target)
     }
 
     // Global history for the GEHL folds.
-    for (size_t t = 0; t < folds.size(); ++t) {
-        const bool expired = history.at(cfg.histLengths[t] - 1);
-        folds[t].update(taken, expired);
-    }
-    history.push(taken);
+    folds.push(taken);
 }
 
 uint64_t
 StatisticalCorrector::storageBits() const
 {
     uint64_t total = 0;
-    total += gehl.size() * (1ull << cfg.log2Entries) * cfg.weightBits;
+    total += gehl.size() * cfg.weightBits;
     total += (1ull << (cfg.log2Entries + 1)) * cfg.weightBits;
     total += (1ull << cfg.log2Imli) * cfg.weightBits;
     total += cfg.histLengths.back();

@@ -74,11 +74,11 @@ class StatisticalCorrector
     int32_t weightMax;
     int32_t weightMin;
 
-    std::vector<std::vector<int32_t>> gehl;   ///< [table][entry]
-    std::vector<int32_t> bias;                ///< indexed by (ip, pred)
-    std::vector<int32_t> imliTable;
-    HistoryRegister history;
-    std::vector<FoldedHistory> folds;
+    // Weights fit in weightBits <= 8, so they are stored as bytes.
+    std::vector<int8_t> gehl;      ///< [table << log2Entries | entry]
+    std::vector<int8_t> bias;      ///< indexed by (ip, pred)
+    std::vector<int8_t> imliTable;
+    FoldedHistoryBank folds;       ///< one index fold per GEHL table
 
     uint64_t imli = 0;
     uint64_t lastLoopTarget = 0;
@@ -87,11 +87,11 @@ class StatisticalCorrector
     int32_t sum = 0;
     bool primaryPred = false;
     bool finalPred = false;
-    std::vector<size_t> lastIndex;
+    std::vector<size_t> lastIndex;   ///< into `gehl`
     size_t lastBiasIndex = 0;
     size_t lastImliIndex = 0;
 
-    void adjust(int32_t &w, bool taken);
+    void adjust(int8_t &w, bool taken);
 };
 
 } // namespace bpnsp

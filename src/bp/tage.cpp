@@ -1,5 +1,7 @@
 #include "bp/tage.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/bitops.hpp"
@@ -104,10 +106,12 @@ TageConfig::preset(unsigned kilobytes)
 }
 
 TagePredictor::TagePredictor(const TageConfig &config)
-    : cfg(config), history(config.maxHist + 1), rng(0x7a6e)
+    : cfg(config), folds(config.maxHist + 1), rng(0x7a6e),
+      updatesToDecay(config.uResetPeriod)
 {
     BPNSP_ASSERT(cfg.log2Entries.size() == cfg.numTables,
                  "log2Entries size mismatch");
+    BPNSP_ASSERT(cfg.uResetPeriod >= 1, "uResetPeriod must be >= 1");
     if (cfg.tagBits.empty()) {
         cfg.tagBits.resize(cfg.numTables);
         for (unsigned t = 0; t < cfg.numTables; ++t)
@@ -116,31 +120,27 @@ TagePredictor::TagePredictor(const TageConfig &config)
     BPNSP_ASSERT(cfg.tagBits.size() == cfg.numTables,
                  "tagBits size mismatch");
 
-    histLen = cfg.histLengths();
-    tables.resize(cfg.numTables);
-    ownerIp.resize(cfg.numTables);
-    entryBase.resize(cfg.numTables);
+    BPNSP_ASSERT(cfg.numTables <= 32, "hit mask holds 32 tables");
+    const std::vector<unsigned> histLen = cfg.histLengths();
     uint64_t base = 0;
     for (unsigned t = 0; t < cfg.numTables; ++t) {
-        tables[t].assign(1ull << cfg.log2Entries[t], Entry{});
-        ownerIp[t].assign(1ull << cfg.log2Entries[t], 0);
-        entryBase[t] = base;
-        base += tables[t].size();
+        BPNSP_ASSERT(cfg.tagBits[t] <= 15, "tag must leave the valid bit");
+        tableGeom.push_back(Table{
+            base,
+            (1ull << cfg.log2Entries[t]) - 1,
+            (1ull << cfg.tagBits[t]) - 1,
+            (1ull << std::min<unsigned>(16, histLen[t])) - 1,
+        });
+        base += 1ull << cfg.log2Entries[t];
+        folds.add(histLen[t], cfg.log2Entries[t]);
+        folds.add(histLen[t], cfg.tagBits[t]);
+        folds.add(histLen[t], cfg.tagBits[t] > 1 ? cfg.tagBits[t] - 1 : 1);
     }
-    bimodal.assign(1ull << cfg.log2Bimodal, SatCounter(2, 2));
+    entries.assign(base, Entry{});
+    ownerIp.assign(base, 0);
+    bimodal.assign(1ull << cfg.log2Bimodal, 2);
     lastIndex.assign(cfg.numTables, 0);
     lastTag.assign(cfg.numTables, 0);
-
-    idxFold.reserve(cfg.numTables);
-    tagFold1.reserve(cfg.numTables);
-    tagFold2.reserve(cfg.numTables);
-    for (unsigned t = 0; t < cfg.numTables; ++t) {
-        idxFold.emplace_back(histLen[t], cfg.log2Entries[t]);
-        tagFold1.emplace_back(histLen[t], cfg.tagBits[t]);
-        tagFold2.emplace_back(histLen[t],
-                              cfg.tagBits[t] > 1 ? cfg.tagBits[t] - 1
-                                                 : 1);
-    }
 }
 
 std::string
@@ -161,50 +161,45 @@ TagePredictor::ctrMin() const
     return static_cast<int8_t>(-(1 << (cfg.ctrBits - 1)));
 }
 
-size_t
-TagePredictor::bimodalIndex(uint64_t ip) const
-{
-    return bits(mix64(ip), 0, cfg.log2Bimodal);
-}
-
-void
-TagePredictor::computeIndices(uint64_t ip)
-{
-    const uint64_t pc_hash = mix64(ip);
-    for (unsigned t = 0; t < cfg.numTables; ++t) {
-        const uint64_t path =
-            mix64(pathHistory & ((1ull << std::min<unsigned>(
-                                      16, histLen[t])) -
-                                 1)) >>
-            (t + 1);
-        lastIndex[t] = bits(pc_hash ^ (pc_hash >> (t + 2)) ^
-                                idxFold[t].value() ^ path,
-                            0, cfg.log2Entries[t]);
-        lastTag[t] = static_cast<uint16_t>(
-            bits(pc_hash ^ tagFold1[t].value() ^
-                     (static_cast<uint64_t>(tagFold2[t].value()) << 1),
-                 0, cfg.tagBits[t]));
-    }
-}
-
 bool
 TagePredictor::predict(uint64_t ip, bool)
 {
-    computeIndices(ip);
+    const uint64_t pc_hash = mix64(ip);
+    lastBimodal = bits(pc_hash, 0, cfg.log2Bimodal);
 
-    provider = -1;
-    altTable = -1;
-    for (int t = static_cast<int>(cfg.numTables) - 1; t >= 0; --t) {
-        const Entry &e = tables[t][lastIndex[t]];
-        if (e.tag == lastTag[t] && ownerIp[t][lastIndex[t]] != 0) {
-            if (provider < 0) {
-                provider = t;
-            } else {
-                altTable = t;
-                break;
-            }
+    // Compute every table's index and tag and probe them all at once:
+    // the loads are independent, and which tables hit becomes a bit
+    // mask instead of a chain of data-dependent branches. Path masks
+    // only grow with t, so the path hash is rehashed only on a change.
+    uint32_t hits = 0;
+    uint64_t mask = 0;
+    uint64_t path_hash = 0;
+    for (unsigned t = 0; t < cfg.numTables; ++t) {
+        const Table &tab = tableGeom[t];
+        if (tab.pathMask != mask) {
+            mask = tab.pathMask;
+            path_hash = mix64(pathHistory & mask);
         }
+        const unsigned f = 3 * t;
+        const size_t index =
+            tab.base + ((pc_hash ^ (pc_hash >> (t + 2)) ^ folds.value(f) ^
+                         (path_hash >> (t + 1))) &
+                        tab.indexMask);
+        const auto tag = static_cast<uint16_t>(
+            (pc_hash ^ folds.value(f + 1) ^
+             (static_cast<uint64_t>(folds.value(f + 2)) << 1)) &
+            tab.tagMask);
+        lastIndex[t] = index;
+        lastTag[t] = tag;
+        hits |= static_cast<uint32_t>(entries[index].key ==
+                                      (tag | kValid))
+                << t;
     }
+    // Longest hit provides; the next longest is the alternate.
+    provider = static_cast<int>(std::bit_width(hits)) - 1;
+    const uint32_t below =
+        provider > 0 ? hits & ((1u << provider) - 1) : 0;
+    altTable = static_cast<int>(std::bit_width(below)) - 1;
 
 #if BPNSP_OBS_DETAIL
     // Hit-bank distribution: bucket 0 is the bimodal base predictor,
@@ -214,7 +209,7 @@ TagePredictor::predict(uint64_t ip, bool)
     providerHist.observe(static_cast<uint64_t>(provider + 1));
 #endif
 
-    const bool bimodal_pred = bimodal[bimodalIndex(ip)].taken();
+    const bool bimodal_pred = bimodal[lastBimodal] >= 2;
     if (provider < 0) {
         providerPred = altPred = finalPred = bimodal_pred;
         providerWeakNew = false;
@@ -222,13 +217,12 @@ TagePredictor::predict(uint64_t ip, bool)
         return finalPred;
     }
 
-    const Entry &pe = tables[provider][lastIndex[provider]];
+    const Entry &pe = entries[lastIndex[provider]];
     providerPred = pe.ctr >= 0;
     providerConf = pe.ctr >= 0 ? static_cast<uint32_t>(pe.ctr)
                                : static_cast<uint32_t>(-pe.ctr - 1);
-    altPred = altTable >= 0
-                  ? (tables[altTable][lastIndex[altTable]].ctr >= 0)
-                  : bimodal_pred;
+    altPred = altTable >= 0 ? (entries[lastIndex[altTable]].ctr >= 0)
+                            : bimodal_pred;
 
     // Newly allocated entries (u == 0, weak counter) may be less
     // reliable than the alternate prediction; arbitrate dynamically.
@@ -244,10 +238,10 @@ TagePredictor::update(uint64_t ip, bool taken, bool predicted,
                       uint64_t)
 {
     (void)predicted;   // equals finalPred by contract
-    ++updateCount;
 
+    bool train_bimodal = provider < 0;
     if (provider >= 0) {
-        Entry &pe = tables[provider][lastIndex[provider]];
+        Entry &pe = entries[lastIndex[provider]];
 
         // Arbitrate the use-alt-on-newly-allocated policy.
         if (providerWeakNew && providerPred != altPred)
@@ -274,17 +268,25 @@ TagePredictor::update(uint64_t ip, bool taken, bool predicted,
 
         // Also train the bimodal when the provider is the lowest table
         // and weak, keeping the base predictor warm.
-        if (provider == 0 && (pe.ctr == 0 || pe.ctr == -1))
-            bimodal[bimodalIndex(ip)].update(taken);
-    } else {
-        bimodal[bimodalIndex(ip)].update(taken);
+        train_bimodal = provider == 0 && (pe.ctr == 0 || pe.ctr == -1);
+    }
+    if (train_bimodal) {
+        uint8_t &b = bimodal[lastBimodal];
+        if (taken) {
+            if (b < 3)
+                ++b;
+        } else if (b > 0) {
+            --b;
+        }
     }
 
     if (finalPred != taken)
         allocate(ip, taken);
 
-    if (updateCount % cfg.uResetPeriod == 0)
+    if (--updatesToDecay == 0) {
+        updatesToDecay = cfg.uResetPeriod;
         decayUsefulness();
+    }
 
     pushHistory(taken, ip);
 }
@@ -307,20 +309,19 @@ TagePredictor::allocate(uint64_t ip, bool taken)
     unsigned allocated = 0;
     bool any_free = false;
     for (unsigned t = start; t < cfg.numTables && allocated < 1; ++t) {
-        Entry &e = tables[t][lastIndex[t]];
+        const size_t index = lastIndex[t];
+        Entry &e = entries[index];
         if (e.u == 0) {
-            const uint64_t evicted = ownerIp[t][lastIndex[t]];
-            e.tag = lastTag[t];
+            const uint64_t evicted = ownerIp[index];
+            e.key = lastTag[t] | (ip != 0 ? kValid : 0);
             e.ctr = taken ? 0 : -1;
             e.u = 0;
-            ownerIp[t][lastIndex[t]] = ip;
+            ownerIp[index] = ip;
 #if BPNSP_OBS_DETAIL
             tageAllocCounter(static_cast<unsigned>(t)).inc();
 #endif
-            if (allocListener != nullptr) {
-                allocListener->onAllocation(
-                    ip, t, entryBase[t] + lastIndex[t], evicted);
-            }
+            if (allocListener != nullptr)
+                allocListener->onAllocation(ip, t, index, evicted);
             ++allocated;
             any_free = true;
         }
@@ -329,7 +330,7 @@ TagePredictor::allocate(uint64_t ip, bool taken)
         // Nothing free: age the candidates so future allocations can
         // succeed (usefulness decrement on allocation failure).
         for (unsigned t = first; t < cfg.numTables; ++t) {
-            Entry &e = tables[t][lastIndex[t]];
+            Entry &e = entries[lastIndex[t]];
             if (e.u > 0)
                 --e.u;
         }
@@ -339,21 +340,14 @@ TagePredictor::allocate(uint64_t ip, bool taken)
 void
 TagePredictor::decayUsefulness()
 {
-    for (auto &table : tables)
-        for (auto &e : table)
-            e.u >>= 1;
+    for (auto &e : entries)
+        e.u >>= 1;
 }
 
 void
 TagePredictor::pushHistory(bool taken, uint64_t ip)
 {
-    for (unsigned t = 0; t < cfg.numTables; ++t) {
-        const bool expired = history.at(histLen[t] - 1);
-        idxFold[t].update(taken, expired);
-        tagFold1[t].update(taken, expired);
-        tagFold2[t].update(taken, expired);
-    }
-    history.push(taken);
+    folds.push(taken);
     pathHistory = (pathHistory << 1) | ((ip >> 2) & 1);
 }
 

@@ -106,27 +106,39 @@ class TagePredictor : public BranchPredictor
     /// @}
 
   private:
+    /**
+     * One tagged entry, packed in 4 bytes. `key` is the partial tag
+     * with kValid set once the entry has an owner (an allocation for a
+     * nonzero ip), so a probe is one 16-bit compare against
+     * `tag | kValid` and an entry allocated for ip 0 never hits.
+     */
     struct Entry
     {
-        uint16_t tag = 0;
+        uint16_t key = 0;
         int8_t ctr = 0;
         uint8_t u = 0;
     };
+    static constexpr uint16_t kValid = 0x8000;
+
+    /** Where a tagged table lives in `entries` and how it hashes. */
+    struct Table
+    {
+        uint64_t base;       ///< first entry (entry ids start here)
+        uint64_t indexMask;  ///< log2Entries low bits
+        uint64_t tagMask;    ///< tagBits low bits
+        uint64_t pathMask;   ///< path history bits mixed into the index
+    };
 
     TageConfig cfg;
-    std::vector<unsigned> histLen;
-    std::vector<std::vector<Entry>> tables;
-    std::vector<std::vector<uint64_t>> ownerIp;  ///< simulation metadata
-    std::vector<uint64_t> entryBase;             ///< entry-id offsets
-    std::vector<SatCounter> bimodal;
-    HistoryRegister history;
+    std::vector<Table> tableGeom;
+    std::vector<Entry> entries;       ///< every table, back to back
+    std::vector<uint64_t> ownerIp;    ///< per entry; allocation only
+    std::vector<uint8_t> bimodal;     ///< 2-bit counters, taken at >= 2
+    FoldedHistoryBank folds;          ///< per table: index, tag, tag2
     uint64_t pathHistory = 0;
-    std::vector<FoldedHistory> idxFold;
-    std::vector<FoldedHistory> tagFold1;
-    std::vector<FoldedHistory> tagFold2;
     SignedSatCounter useAltOnNa{4, 0};
     Rng rng;
-    uint64_t updateCount = 0;
+    uint64_t updatesToDecay;          ///< countdown to the next u decay
     TageAllocationListener *allocListener = nullptr;
 
     // predict() scratch consumed by update()
@@ -137,13 +149,12 @@ class TagePredictor : public BranchPredictor
     bool finalPred = false;
     bool providerWeakNew = false;
     uint32_t providerConf = 0;
-    std::vector<size_t> lastIndex;
+    size_t lastBimodal = 0;
+    std::vector<size_t> lastIndex;    ///< into `entries`
     std::vector<uint16_t> lastTag;
 
     int8_t ctrMax() const;
     int8_t ctrMin() const;
-    size_t bimodalIndex(uint64_t ip) const;
-    void computeIndices(uint64_t ip);
     void pushHistory(bool taken, uint64_t ip);
     void allocate(uint64_t ip, bool taken);
     void decayUsefulness();

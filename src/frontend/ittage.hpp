@@ -13,8 +13,8 @@
  * arbitrates replacement.
  *
  * This model mirrors the repo's TAGE implementation idioms
- * (bp/tage.cpp): FoldedHistory for index/tag compression, circular
- * HistoryRegister, allocate-on-mispredict with useful-bit decay. The
+ * (bp/tage.cpp): a FoldedHistoryBank for index/tag compression over a
+ * ring-buffer history, allocate-on-mispredict with useful-bit decay. The
  * history is fed by the front end with both conditional outcomes and
  * a target-hash bit per indirect transfer, so correlated dispatch
  * sequences (interpreter loops, virtual-call chains) are separable.
@@ -85,21 +85,14 @@ class Ittage
         uint8_t useful = 0;
     };
 
-    struct Table
-    {
-        unsigned historyLength;
-        FoldedHistory indexFold;
-        FoldedHistory tagFold;
-        FoldedHistory tagFold2;   ///< second fold decorrelates the tag
-        std::vector<Entry> rows;
-    };
-
     void computeIndices(uint64_t ip);
     uint32_t lfsrNext();
 
     unsigned log2Entries;
-    HistoryRegister history;
-    std::vector<Table> tables;
+    /// Per table: index fold, tag fold, and a second tag fold that
+    /// decorrelates the tag.
+    FoldedHistoryBank folds;
+    std::vector<std::vector<Entry>> tables;
     std::vector<uint64_t> baseTable;    ///< last-target, direct mapped
     std::vector<bool> baseValid;
     uint32_t lfsr = 0x2a5f19d3;         ///< allocation tie-break

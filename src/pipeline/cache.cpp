@@ -1,5 +1,7 @@
 #include "pipeline/cache.hpp"
 
+#include <algorithm>
+
 #include "util/bitops.hpp"
 #include "util/logging.hpp"
 
@@ -14,12 +16,14 @@ Cache::Cache(std::string cache_name, uint64_t size_bytes,
       numSets(size_bytes / line_bytes / associativity),
       latency(hit_latency), next(next_level), memLatency(memory_latency)
 {
-    BPNSP_ASSERT(isPowerOfTwo(line_bytes), "line size must be 2^n");
+    BPNSP_ASSERT(isPowerOfTwo(line_bytes) && line_bytes >= 2,
+                 "line size must be 2^n, n >= 1");
     BPNSP_ASSERT(numSets >= 1, "cache too small: ", cacheName);
     BPNSP_ASSERT(isPowerOfTwo(numSets), "sets must be 2^n: ", cacheName);
     BPNSP_ASSERT(next != nullptr || memLatency > 0,
                  "last level needs a memory latency: ", cacheName);
-    ways.assign(numSets * assoc, Way{});
+    tags.assign(numSets * assoc, kInvalid);
+    lastUse.assign(numSets * assoc, 0);
 }
 
 uint64_t
@@ -37,11 +41,10 @@ Cache::tagOf(uint64_t addr) const
 bool
 Cache::probe(uint64_t addr) const
 {
-    const uint64_t set = setOf(addr);
+    const uint64_t *set = &tags[setOf(addr) * assoc];
     const uint64_t tag = tagOf(addr);
     for (unsigned w = 0; w < assoc; ++w) {
-        const Way &way = ways[set * assoc + w];
-        if (way.valid && way.tag == tag)
+        if (set[w] == tag)
             return true;
     }
     return false;
@@ -50,14 +53,15 @@ Cache::probe(uint64_t addr) const
 unsigned
 Cache::access(uint64_t addr)
 {
-    const uint64_t set = setOf(addr);
+    const uint64_t first = setOf(addr) * assoc;
+    uint64_t *set = &tags[first];
+    uint64_t *stamp = &lastUse[first];
     const uint64_t tag = tagOf(addr);
     ++useClock;
 
     for (unsigned w = 0; w < assoc; ++w) {
-        Way &way = ways[set * assoc + w];
-        if (way.valid && way.tag == tag) {
-            way.lastUse = useClock;
+        if (set[w] == tag) {
+            stamp[w] = useClock;
             ++hitCount;
             return latency;
         }
@@ -65,29 +69,27 @@ Cache::access(uint64_t addr)
 
     ++missCount;
     // LRU victim selection: any invalid way first, else the oldest.
-    Way *victim = &ways[set * assoc];
+    unsigned victim = 0;
     for (unsigned w = 0; w < assoc; ++w) {
-        Way &way = ways[set * assoc + w];
-        if (!way.valid) {
-            victim = &way;
+        if (set[w] == kInvalid) {
+            victim = w;
             break;
         }
-        if (way.lastUse < victim->lastUse)
-            victim = &way;
+        if (stamp[w] < stamp[victim])
+            victim = w;
     }
     const unsigned below =
         next != nullptr ? next->access(addr) : memLatency;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = useClock;
+    set[victim] = tag;
+    stamp[victim] = useClock;
     return latency + below;
 }
 
 void
 Cache::reset()
 {
-    for (auto &way : ways)
-        way = Way{};
+    std::fill(tags.begin(), tags.end(), kInvalid);
+    std::fill(lastUse.begin(), lastUse.end(), 0);
     useClock = 0;
     hitCount = 0;
     missCount = 0;

@@ -60,12 +60,9 @@ class Cache
     void reset();
 
   private:
-    struct Way
-    {
-        uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
-    };
+    /// Tag of an invalid way: line addresses (line size >= 2) never
+    /// reach it, so a hit test is one compare per way.
+    static constexpr uint64_t kInvalid = ~0ull;
 
     std::string cacheName;
     unsigned assoc;
@@ -74,7 +71,11 @@ class Cache
     unsigned latency;
     Cache *next;
     unsigned memLatency;
-    std::vector<Way> ways;   // numSets * assoc, row-major by set
+    // numSets * assoc each, row-major by set: a set's tags share one
+    // 64-byte line at 8 ways, and the LRU stamps are only touched on a
+    // hit's update and on a miss.
+    std::vector<uint64_t> tags;
+    std::vector<uint64_t> lastUse;
     uint64_t useClock = 0;
     uint64_t hitCount = 0;
     uint64_t missCount = 0;

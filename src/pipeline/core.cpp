@@ -10,26 +10,24 @@ CoreModel::CoreModel(const CoreConfig &config,
     : cfg(config), bp(bp_outcomes), fe(frontend),
       fetchSlots(config.fetchWidth),
       issueSlots(config.issueWidth), retireSlots(config.retireWidth),
-      robRing(config.robSize, 0), schedRing(config.schedSize, 0),
-      lqRing(config.lqSize, 0), sqRing(config.sqSize, 0)
+      robRing(config.robSize), schedRing(config.schedSize),
+      lqRing(config.lqSize), sqRing(config.sqSize)
 {
+    classLatency.fill(cfg.aluLatency);
+    classLatency[static_cast<uint8_t>(InstrClass::Mul)] = cfg.mulLatency;
+    classLatency[static_cast<uint8_t>(InstrClass::Div)] = cfg.divLatency;
+    classLatency[static_cast<uint8_t>(InstrClass::Store)] =
+        cfg.storeLatency;
 }
 
 unsigned
 CoreModel::execLatency(const TraceRecord &rec)
 {
-    switch (rec.cls) {
-      case InstrClass::Mul:
-        return cfg.mulLatency;
-      case InstrClass::Div:
-        return cfg.divLatency;
-      case InstrClass::Load:
+    // Loads probe the D-cache; every other class has a fixed latency,
+    // looked up rather than switched on.
+    if (rec.cls == InstrClass::Load)
         return hierarchy.l1d.access(rec.memAddr);
-      case InstrClass::Store:
-        return cfg.storeLatency;
-      default:
-        return cfg.aluLatency;
-    }
+    return classLatency[static_cast<uint8_t>(rec.cls)];
 }
 
 void
@@ -40,7 +38,7 @@ CoreModel::onRecord(const TraceRecord &rec)
     // recovered from the last misprediction, and cannot dispatch while
     // the ROB slot it needs is still occupied.
     uint64_t fetch_bound =
-        std::max(fetchResume, robRing[index % cfg.robSize]);
+        std::max(fetchResume, robRing.slot());
 
     // I-cache: pay the miss latency when crossing into a new line that
     // misses; sequential fetches within a line are free.
@@ -64,15 +62,13 @@ CoreModel::onRecord(const TraceRecord &rec)
     // ---- Dispatch / schedule ----
     const uint64_t dispatch_ready = fetch_cycle + cfg.frontendDepth;
     uint64_t issue_bound =
-        std::max(dispatch_ready, schedRing[index % cfg.schedSize]);
+        std::max(dispatch_ready, schedRing.slot());
 
     // Load/store queue occupancy.
     if (rec.cls == InstrClass::Load) {
-        issue_bound =
-            std::max(issue_bound, lqRing[loadIndex % cfg.lqSize]);
+        issue_bound = std::max(issue_bound, lqRing.slot());
     } else if (rec.cls == InstrClass::Store) {
-        issue_bound =
-            std::max(issue_bound, sqRing[storeIndex % cfg.sqSize]);
+        issue_bound = std::max(issue_bound, sqRing.slot());
     }
 
     // Register dependencies.
@@ -83,7 +79,8 @@ CoreModel::onRecord(const TraceRecord &rec)
     // fetch stream (nothing can issue before it was fetched).
     issueSlots.advanceFloor(fetch_cycle);
     const uint64_t issue_cycle = issueSlots.alloc(issue_bound);
-    schedRing[index % cfg.schedSize] = issue_cycle;
+    schedRing.slot() = issue_cycle;
+    schedRing.advance();
 
     // ---- Execute ----
     const uint64_t complete_cycle = issue_cycle + execLatency(rec);
@@ -94,11 +91,15 @@ CoreModel::onRecord(const TraceRecord &rec)
     const uint64_t retire_cycle =
         retireSlots.alloc(std::max(complete_cycle, lastRetire));
     lastRetire = retire_cycle;
-    robRing[index % cfg.robSize] = retire_cycle;
-    if (rec.cls == InstrClass::Load)
-        lqRing[loadIndex++ % cfg.lqSize] = retire_cycle;
-    else if (rec.cls == InstrClass::Store)
-        sqRing[storeIndex++ % cfg.sqSize] = retire_cycle;
+    robRing.slot() = retire_cycle;
+    robRing.advance();
+    if (rec.cls == InstrClass::Load) {
+        lqRing.slot() = retire_cycle;
+        lqRing.advance();
+    } else if (rec.cls == InstrClass::Store) {
+        sqRing.slot() = retire_cycle;
+        sqRing.advance();
+    }
 
     // ---- Branch handling ----
     // Any taken control transfer ends the fetch group: the front end
@@ -129,7 +130,6 @@ CoreModel::onRecord(const TraceRecord &rec)
         lastFetchLine = ~0ull;
     }
 
-    ++index;
     ++stats.instructions;
     stats.cycles = std::max(stats.cycles, retire_cycle);
 }

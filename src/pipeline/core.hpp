@@ -19,6 +19,7 @@
 #ifndef BPNSP_PIPELINE_CORE_HPP
 #define BPNSP_PIPELINE_CORE_HPP
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "pipeline/cache.hpp"
 #include "pipeline/core_config.hpp"
 #include "trace/sink.hpp"
+#include "util/logging.hpp"
 #include "vm/isa.hpp"
 
 namespace bpnsp {
@@ -207,6 +209,33 @@ class CoreModel : public TraceSink
         std::vector<uint32_t> used;
     };
 
+    /**
+     * Per-slot cycles of an in-order window (ROB, scheduler, LQ, SQ),
+     * walked by a wrap-around cursor: slot() is the entry the next
+     * instruction reuses, so no division sits on the hot path.
+     */
+    class CycleRing
+    {
+      public:
+        explicit CycleRing(unsigned size) : slots(size, 0)
+        {
+            BPNSP_ASSERT(size >= 1, "window size must be >= 1");
+        }
+
+        uint64_t &slot() { return slots[pos]; }
+
+        void
+        advance()
+        {
+            if (++pos == slots.size())
+                pos = 0;
+        }
+
+      private:
+        std::vector<uint64_t> slots;
+        size_t pos = 0;
+    };
+
     CoreConfig cfg;
     const PredictorSim &bp;
     const FrontendModel *fe;   ///< optional; nullptr = perfect fetch
@@ -217,14 +246,12 @@ class CoreModel : public TraceSink
     IssueWindow issueSlots;
     SlotAllocator retireSlots;
 
+    std::array<unsigned, kMaxInstrClass + 1> classLatency;  ///< not loads
     uint64_t regReady[kNumRegs] = {};
-    std::vector<uint64_t> robRing;    ///< retire cycles, ROB window
-    std::vector<uint64_t> schedRing;  ///< issue cycles, scheduler window
-    std::vector<uint64_t> lqRing;     ///< load retire cycles
-    std::vector<uint64_t> sqRing;     ///< store retire cycles
-    uint64_t index = 0;
-    uint64_t loadIndex = 0;
-    uint64_t storeIndex = 0;
+    CycleRing robRing;     ///< retire cycles, ROB window
+    CycleRing schedRing;   ///< issue cycles, scheduler window
+    CycleRing lqRing;      ///< load retire cycles
+    CycleRing sqRing;      ///< store retire cycles
     uint64_t fetchResume = 0;         ///< front end stalled until here
     uint64_t lastRetire = 0;
     uint64_t lastFetchLine = ~0ull;

@@ -535,9 +535,11 @@ ServeServer::ioLoop()
 
     // Shutdown: close every connection. Workers are already gone (the
     // drain joins them before the io thread), so nobody writes.
-    for (const auto &conn : conns)
+    // closeConn() erases from `conns`, so walk a swapped-out list.
+    std::vector<std::shared_ptr<Conn>> open;
+    open.swap(conns);
+    for (const auto &conn : open)
         closeConn(conn);
-    conns.clear();
 }
 
 void

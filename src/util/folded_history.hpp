@@ -1,13 +1,16 @@
 /**
  * @file
- * Folded (compressed) history registers, as used by TAGE-family
- * predictors to hash very long global histories into table indices and
- * tags incrementally, one branch at a time.
+ * Global branch history for TAGE-family predictors: a ring-buffer
+ * history register with O(1) push and lookup, and a bank of folded
+ * (compressed) histories that hashes very long histories into table
+ * indices and tags incrementally, one branch at a time.
  */
 
 #ifndef BPNSP_UTIL_FOLDED_HISTORY_HPP
 #define BPNSP_UTIL_FOLDED_HISTORY_HPP
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -16,15 +19,20 @@
 namespace bpnsp {
 
 /**
- * A large shift register of branch outcomes (the raw global history).
+ * The raw global history of branch outcomes.
  *
- * Stores up to capacity bits; bit 0 is the most recent outcome.
+ * Remembers at least the `capacity` most recent outcomes; position 0 is
+ * the most recent. Backed by a power-of-two ring of one byte per
+ * outcome and a head index (the CBP TAGE-SC-L idiom), so push() and
+ * at() cost O(1) whatever the capacity. low() reads a separate 64-bit
+ * shift register of the newest outcomes.
  */
 class HistoryRegister
 {
   public:
     explicit HistoryRegister(unsigned capacity = 4096)
-        : cap(capacity), bitvec((capacity + 63) / 64, 0)
+        : cap(capacity), mask(std::bit_ceil(std::max(capacity, 1u)) - 1),
+          ring(mask + 1, 0)
     {
         BPNSP_ASSERT(capacity >= 1);
     }
@@ -33,13 +41,9 @@ class HistoryRegister
     void
     push(bool taken)
     {
-        // Shift the whole vector left by one bit, inserting at bit 0.
-        bool carry = taken;
-        for (auto &word : bitvec) {
-            bool next_carry = (word >> 63) & 1;
-            word = (word << 1) | (carry ? 1u : 0u);
-            carry = next_carry;
-        }
+        head = (head - 1) & mask;
+        ring[head] = taken;
+        recent = (recent << 1) | (taken ? 1u : 0u);
     }
 
     /** Outcome of the branch `pos` steps in the past (0 = most recent). */
@@ -47,7 +51,7 @@ class HistoryRegister
     at(unsigned pos) const
     {
         BPNSP_ASSERT(pos < cap);
-        return (bitvec[pos / 64] >> (pos % 64)) & 1;
+        return ring[(head + pos) & mask];
     }
 
     /** The `n` most recent outcomes packed into the low bits (n <= 64). */
@@ -55,10 +59,7 @@ class HistoryRegister
     low(unsigned n) const
     {
         BPNSP_ASSERT(n <= 64);
-        uint64_t v = bitvec[0];
-        if (n < 64)
-            v &= (1ull << n) - 1;
-        return v;
+        return n < 64 ? recent & ((1ull << n) - 1) : recent;
     }
 
     unsigned capacity() const { return cap; }
@@ -67,62 +68,133 @@ class HistoryRegister
     void
     reset()
     {
-        for (auto &word : bitvec)
-            word = 0;
+        std::fill(ring.begin(), ring.end(), 0);
+        head = 0;
+        recent = 0;
     }
 
   private:
+    friend class FoldedHistoryBank;
+
     unsigned cap;
-    std::vector<uint64_t> bitvec;
+    unsigned mask;        ///< ring size - 1 (ring size is 2^n >= cap)
+    unsigned head = 0;    ///< ring slot of the most recent outcome
+    uint64_t recent = 0;  ///< newest 64 outcomes, bit 0 most recent
+    std::vector<uint8_t> ring;
 };
 
 /**
- * Incrementally-maintained XOR fold of the most recent historyLength
- * bits of a HistoryRegister down to targetWidth bits.
+ * A predictor's global history plus every folded view of it.
  *
- * Equivalent to foldTo(low historyLength bits, targetWidth) but updated
- * in O(1) per branch: new bits rotate in at the bottom, expired bits
- * rotate out at position historyLength % targetWidth.
+ * Fold i is the XOR fold of the newest historyLength(i) outcomes down
+ * to width(i) bits: the outcome of age a lands on bit a % width(i), so
+ * for a history of at most 64 outcomes the value equals
+ * foldTo(history().low(historyLength(i)), width(i)). push() updates
+ * every fold in O(1) each, struct-of-arrays, with no variable shifts:
+ * the new outcome enters at bit 0, the outcome leaving the window is
+ * cancelled at bit historyLength % width, and the bit shifted out at
+ * the top wraps around to bit 0.
  */
-class FoldedHistory
+class FoldedHistoryBank
 {
   public:
-    FoldedHistory(unsigned history_length, unsigned target_width)
-        : histLen(history_length), width(target_width), folded(0)
-    {
-        BPNSP_ASSERT(width >= 1 && width < 32);
-        outPoint = histLen % width;
-    }
+    /** @param capacity raw history kept (>= every fold's length) */
+    explicit FoldedHistoryBank(unsigned capacity) : hist(capacity) {}
 
     /**
-     * Update after the global history consumed a new outcome.
+     * Track one more fold.
      *
-     * @param new_bit the outcome just shifted into the history
-     * @param expired_bit the outcome that just moved past histLen
+     * @param history_length outcomes folded (1..capacity)
+     * @param width folded value width in bits (1..31)
+     * @return the fold's handle for value(): 0, 1, 2, ... in order
      */
-    void
-    update(bool new_bit, bool expired_bit)
+    unsigned
+    add(unsigned history_length, unsigned width)
     {
-        folded = (folded << 1) | (new_bit ? 1u : 0u);
-        folded ^= (expired_bit ? 1u : 0u) << outPoint;
-        folded ^= folded >> width;
-        folded &= (1u << width) - 1;
+        BPNSP_ASSERT(width >= 1 && width < 32);
+        BPNSP_ASSERT(history_length >= 1 &&
+                     history_length <= hist.capacity());
+        folds.push_back(0);
+        lowMask.push_back((1u << width) - 1);
+        topBit.push_back(1u << width);
+        outBit.push_back(1u << (history_length % width));
+        expiredAge.push_back(history_length - 1);
+        expired.push_back(0);
+        return static_cast<unsigned>(folds.size() - 1);
     }
 
-    /** Current folded value (targetWidth bits). */
-    uint32_t value() const { return folded; }
+    /** Append an outcome to the history and advance every fold. */
+    void
+    push(bool taken)
+    {
+        // Gather the outcomes leaving each window first, so the update
+        // itself is a branch-free loop over plain arrays that the
+        // compiler vectorizes.
+        gather(hist.ring.data(), hist.head, hist.mask, expiredAge.data(),
+               expired.data(), folds.size());
+        advance(folds.data(), expired.data(), outBit.data(),
+                lowMask.data(), topBit.data(), folds.size(),
+                taken ? 1u : 0u);
+        hist.push(taken);
+    }
 
-    unsigned historyLength() const { return histLen; }
-    unsigned targetWidth() const { return width; }
+    /** Current value of fold `fold` (width(fold) bits). */
+    uint32_t value(unsigned fold) const { return folds[fold]; }
 
-    /** Clear to zero (matches a cleared history register). */
-    void reset() { folded = 0; }
+    unsigned historyLength(unsigned fold) const
+    {
+        return expiredAge[fold] + 1;
+    }
+
+    unsigned width(unsigned fold) const
+    {
+        return static_cast<unsigned>(std::countr_zero(topBit[fold]));
+    }
+
+    /** Number of folds tracked. */
+    unsigned size() const { return static_cast<unsigned>(folds.size()); }
+
+    /** The raw history the folds are taken over. */
+    const HistoryRegister &history() const { return hist; }
+
+    /** Clear the history and every fold (folds of zeros are zero). */
+    void
+    reset()
+    {
+        hist.reset();
+        std::fill(folds.begin(), folds.end(), 0);
+    }
 
   private:
-    unsigned histLen;
-    unsigned width;
-    unsigned outPoint;
-    uint32_t folded;
+    /** gone[i] = the outcome of age age[i] in the ring. */
+    static void
+    gather(const uint8_t *__restrict ring, unsigned head, unsigned mask,
+           const unsigned *__restrict age, uint32_t *__restrict gone,
+           size_t n)
+    {
+        for (size_t i = 0; i < n; ++i)
+            gone[i] = ring[(head + age[i]) & mask];
+    }
+
+    /** v = f << 1 | in, minus the expired bit; the top bit wraps. */
+    static void
+    advance(uint32_t *__restrict fold, const uint32_t *__restrict gone,
+            const uint32_t *__restrict out, const uint32_t *__restrict low,
+            const uint32_t *__restrict top, size_t n, uint32_t in)
+    {
+        for (size_t i = 0; i < n; ++i) {
+            const uint32_t v = ((fold[i] << 1) | in) ^ (out[i] & (0u - gone[i]));
+            fold[i] = (v & low[i]) ^ ((v & top[i]) != 0 ? 1u : 0u);
+        }
+    }
+
+    HistoryRegister hist;
+    std::vector<uint32_t> folds;
+    std::vector<uint32_t> lowMask;     ///< width bits set
+    std::vector<uint32_t> topBit;      ///< bit `width`, wraps to bit 0
+    std::vector<uint32_t> outBit;      ///< bit historyLength % width
+    std::vector<unsigned> expiredAge;  ///< historyLength - 1
+    std::vector<uint32_t> expired;     ///< push() scratch, 0 or 1
 };
 
 } // namespace bpnsp

@@ -1094,6 +1094,29 @@ TEST_F(ServeTest, StatsIsAnsweredWhileDrainWaitsForInFlightWork)
     server.reset();   // already drained
 }
 
+TEST_F(ServeTest, DrainClosesManyIdleConnections)
+{
+    // The io thread's shutdown closes every open connection; closing
+    // one removes it from the server's list, so the walk must not
+    // iterate the list it is erasing from. A ping round trip per
+    // client proves each connection was accepted before the drain.
+    startServer(/*workers=*/1);
+    std::vector<std::unique_ptr<ServeClient>> clients;
+    for (int i = 0; i < 4; ++i) {
+        clients.push_back(std::make_unique<ServeClient>());
+        ASSERT_TRUE(clients.back()->connectUnix(socketPath()).ok());
+        std::string info;
+        ASSERT_TRUE(clients.back()->ping(&info).ok());
+    }
+    server->drain();
+    server.reset();
+    // Every client now sees its connection closed by the server.
+    for (auto &client : clients) {
+        std::string info;
+        EXPECT_FALSE(client->ping(&info).ok());
+    }
+}
+
 TEST_F(ServeTest, SlowRequestThresholdCountsCrossings)
 {
     // 1 ms threshold: a 120k-record simulate always crosses it.

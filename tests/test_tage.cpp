@@ -179,6 +179,35 @@ TEST(Tage, AllocationListenerFires)
     EXPECT_EQ(listener.lastIp, 0xE00u);
 }
 
+TEST(Tage, EntriesAllocatedForIpZeroNeverProvide)
+{
+    // An entry counts as owned only once allocated for a nonzero ip:
+    // ip 0 still allocates (the listener sees it) but never hits, so
+    // the bimodal keeps providing. The same pattern at another ip is
+    // soon provided by a tagged table.
+    auto providedByTable = [](uint64_t ip, uint64_t *allocations) {
+        TagePredictor bp(TageConfig::preset(8));
+        CountingAllocListener listener;
+        bp.setAllocationListener(&listener);
+        uint64_t tagged = 0;
+        for (uint64_t i = 0; i < 2000; ++i) {
+            const bool taken = i % 2 == 0;
+            const bool pred = bp.predict(ip, taken);
+            if (bp.lastProviderTable() >= 0)
+                ++tagged;
+            bp.update(ip, taken, pred, ip + 64);
+        }
+        *allocations = listener.events;
+        return tagged;
+    };
+    uint64_t zero_allocs = 0;
+    uint64_t other_allocs = 0;
+    EXPECT_EQ(providedByTable(0, &zero_allocs), 0u);
+    EXPECT_GT(zero_allocs, 0u);
+    EXPECT_GT(providedByTable(0x400, &other_allocs), 900u);
+    EXPECT_GT(other_allocs, 0u);
+}
+
 TEST(Tage, RandomBranchAllocatesMoreThanBiasedBranch)
 {
     // The Sec. IV-A churn signature: H2Ps consume far more

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <deque>
 #include <filesystem>
 #include <set>
 #include <thread>
@@ -271,65 +272,118 @@ TEST(SignedSatCounter, Confidence)
 
 // --------------------------------------------------- FoldedHistory
 
+namespace {
+
+/** Direct XOR fold of the newest `len` outcomes to `width` bits. */
+uint32_t
+directFold(const HistoryRegister &hist, unsigned len, unsigned width)
+{
+    uint32_t folded = 0;
+    for (unsigned age = 0; age < len; ++age) {
+        if (hist.at(age))
+            folded ^= 1u << (age % width);
+    }
+    return folded;
+}
+
+/** Folds the bank must keep equal to their definition. */
+const std::pair<unsigned, unsigned> kFoldShapes[] = {
+    {1, 1},   {1, 9},   {4, 9},    {7, 7},    {37, 7},  {64, 11},
+    {64, 1},  {63, 31}, {65, 10},  {128, 12}, {129, 8}, {200, 13},
+    {250, 9}, {250, 8}, {250, 31}, {251, 1},
+};
+
+/** A bank over a 256-slot ring holding every shape above. */
+FoldedHistoryBank
+makeShapeBank()
+{
+    FoldedHistoryBank bank(251);
+    for (const auto &[len, width] : kFoldShapes)
+        bank.add(len, width);
+    return bank;
+}
+
+void
+expectFoldsMatch(const FoldedHistoryBank &bank, int step)
+{
+    for (unsigned f = 0; f < bank.size(); ++f) {
+        const unsigned len = bank.historyLength(f);
+        const unsigned width = bank.width(f);
+        ASSERT_EQ(bank.value(f),
+                  directFold(bank.history(), len, width))
+            << "len " << len << " width " << width << " step " << step;
+        if (len <= 64) {
+            ASSERT_EQ(bank.value(f),
+                      foldTo(bank.history().low(len), width))
+                << "len " << len << " width " << width;
+        }
+    }
+}
+
+} // namespace
+
 /**
- * Property: the incrementally-updated fold equals a from-scratch XOR
- * fold of the current history window, for random update sequences.
+ * Property: every incrementally-updated fold equals the from-scratch
+ * XOR fold of its history window (foldTo of the low bits for windows
+ * up to 64), over random outcomes spanning many wraps of the ring.
  */
 TEST(FoldedHistory, MatchesDirectFoldProperty)
 {
-    const unsigned hist_len = 37;
-    const unsigned width = 7;
-    HistoryRegister hist(hist_len + 1);
-    FoldedHistory folded(hist_len, width);
+    FoldedHistoryBank bank = makeShapeBank();
+    ASSERT_EQ(bank.size(), std::size(kFoldShapes));
+    for (unsigned f = 0; f < bank.size(); ++f) {
+        EXPECT_EQ(bank.historyLength(f), kFoldShapes[f].first);
+        EXPECT_EQ(bank.width(f), kFoldShapes[f].second);
+    }
     Rng rng(21);
+    // 256-slot ring: 4000 pushes wrap it more than 15 times.
+    for (int step = 0; step < 4000; ++step) {
+        bank.push(rng.chance(step % 700 < 350 ? 0.5 : 0.9));
+        expectFoldsMatch(bank, step);
+    }
+}
 
-    for (int step = 0; step < 2000; ++step) {
-        const bool bit = rng.chance(0.5);
-        folded.update(bit, hist.at(hist_len - 1));
-        hist.push(bit);
-
-        // Direct fold of the low hist_len bits.
-        uint64_t direct = 0;
-        for (unsigned i = 0; i < hist_len; ++i) {
-            if (hist.at(i)) {
-                const unsigned pos = i % width;
-                direct ^= 1ull << pos;
-            }
+TEST(FoldedHistory, ResetMidStreamRestartsFromZero)
+{
+    FoldedHistoryBank bank = makeShapeBank();
+    Rng rng(5);
+    for (int round = 0; round < 3; ++round) {
+        for (int step = 0; step < 600 + 97 * round; ++step)
+            bank.push(rng.chance(0.5));
+        bank.reset();
+        for (unsigned f = 0; f < bank.size(); ++f)
+            EXPECT_EQ(bank.value(f), 0u);
+        EXPECT_EQ(bank.history().low(64), 0u);
+        for (int step = 0; step < 300; ++step) {
+            bank.push(rng.chance(0.5));
+            expectFoldsMatch(bank, step);
         }
-        // The incremental fold uses a rotating representation; both
-        // must at least agree on zero-ness and stay in range.
-        EXPECT_LT(folded.value(), 1u << width);
-        if (direct == 0 && step > static_cast<int>(hist_len))
-            SUCCEED();
     }
 }
 
 TEST(FoldedHistory, ZeroHistoryFoldsToZero)
 {
-    FoldedHistory folded(100, 10);
+    FoldedHistoryBank bank(100);
+    bank.add(100, 10);
     for (int i = 0; i < 500; ++i)
-        folded.update(false, false);
-    EXPECT_EQ(folded.value(), 0u);
+        bank.push(false);
+    EXPECT_EQ(bank.value(0), 0u);
 }
 
 TEST(FoldedHistory, DistinctHistoriesUsuallyDiffer)
 {
     // Two different histories should (almost always) fold differently.
-    FoldedHistory a(32, 8);
-    FoldedHistory b(32, 8);
+    FoldedHistoryBank a(40);
+    FoldedHistoryBank b(40);
+    a.add(32, 8);
+    b.add(32, 8);
     Rng rng(3);
-    HistoryRegister ha(40);
-    HistoryRegister hb(40);
     for (int i = 0; i < 32; ++i) {
-        const bool bit_a = rng.chance(0.5);
-        const bool bit_b = rng.chance(0.5);
-        a.update(bit_a, ha.at(31));
-        b.update(bit_b, hb.at(31));
-        ha.push(bit_a);
-        hb.push(bit_b);
+        a.push(rng.chance(0.5));
+        b.push(rng.chance(0.5));
     }
     // Not guaranteed, but overwhelmingly likely for this seed.
-    EXPECT_NE(a.value(), b.value());
+    EXPECT_NE(a.value(0), b.value(0));
 }
 
 TEST(HistoryRegister, PushAndAt)
@@ -361,6 +415,49 @@ TEST(HistoryRegister, Low)
     hist.push(true);
     hist.push(false);
     EXPECT_EQ(hist.low(3), 0b110ull);
+}
+
+/**
+ * Property: at() and low() agree with a plain shift-register model
+ * for at least five capacities' worth of pushes, at capacities on
+ * both sides of the word and ring-size boundaries.
+ */
+TEST(HistoryRegister, MatchesShiftRegisterModel)
+{
+    for (unsigned cap : {1u, 63u, 64u, 65u, 1001u, 3001u}) {
+        HistoryRegister hist(cap);
+        std::deque<bool> model;   // front = most recent
+        Rng rng(cap);
+        const unsigned pushes = 5 * cap + 130;
+        for (unsigned step = 0; step < pushes; ++step) {
+            const bool bit = rng.chance(0.3 + 0.4 * (step % 2));
+            hist.push(bit);
+            model.push_front(bit);
+            if (model.size() > std::max(cap, 64u))
+                model.pop_back();
+
+            // Every position on a sparse schedule, a sample otherwise.
+            const bool full = step % 97 == 0 || step + 1 == pushes;
+            for (unsigned pos = 0; pos < cap;
+                 pos += full ? 1 : 1 + rng.below(cap)) {
+                const bool want = pos < model.size() && model[pos];
+                ASSERT_EQ(hist.at(pos), want)
+                    << "cap " << cap << " step " << step << " pos "
+                    << pos;
+            }
+            for (unsigned n : {0u, 1u, 7u, 63u, 64u}) {
+                uint64_t want = 0;
+                for (unsigned i = 0; i < n && i < model.size(); ++i)
+                    want |= static_cast<uint64_t>(model[i]) << i;
+                ASSERT_EQ(hist.low(n), want)
+                    << "cap " << cap << " step " << step << " n " << n;
+            }
+        }
+        hist.reset();
+        EXPECT_EQ(hist.low(64), 0u);
+        for (unsigned pos = 0; pos < cap; ++pos)
+            ASSERT_FALSE(hist.at(pos)) << "cap " << cap;
+    }
 }
 
 // ------------------------------------------------------------- stats
