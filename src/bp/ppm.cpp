@@ -17,7 +17,7 @@ PpmPredictor::PpmPredictor(const PpmConfig &config)
     lastIndex.assign(cfg.numTables, 0);
     lastTag.assign(cfg.numTables, 0);
 
-    histLen.resize(cfg.numTables);
+    std::vector<unsigned> histLen(cfg.numTables);
     const double ratio =
         cfg.numTables > 1
             ? std::pow(static_cast<double>(cfg.maxHistory) / 2.0,

@@ -50,7 +50,6 @@ class PpmPredictor : public BranchPredictor
     };
 
     PpmConfig cfg;
-    std::vector<unsigned> histLen;
     std::vector<std::vector<Entry>> tables;
     std::vector<SatCounter> bimodal;
     FoldedHistoryBank folds;   ///< per table: index, tag

@@ -23,8 +23,7 @@ CoreModel::CoreModel(const CoreConfig &config,
 unsigned
 CoreModel::execLatency(const TraceRecord &rec)
 {
-    // Loads probe the D-cache; every other class has a fixed latency,
-    // looked up rather than switched on.
+    // Loads probe the D-cache; every other class has a fixed latency.
     if (rec.cls == InstrClass::Load)
         return hierarchy.l1d.access(rec.memAddr);
     return classLatency[static_cast<uint8_t>(rec.cls)];
@@ -37,8 +36,7 @@ CoreModel::onRecord(const TraceRecord &rec)
     // The fetch of this instruction cannot begin before the front end
     // recovered from the last misprediction, and cannot dispatch while
     // the ROB slot it needs is still occupied.
-    uint64_t fetch_bound =
-        std::max(fetchResume, robRing.slot());
+    uint64_t fetch_bound = std::max(fetchResume, robRing.slot());
 
     // I-cache: pay the miss latency when crossing into a new line that
     // misses; sequential fetches within a line are free.

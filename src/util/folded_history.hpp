@@ -141,16 +141,6 @@ class FoldedHistoryBank
     /** Current value of fold `fold` (width(fold) bits). */
     uint32_t value(unsigned fold) const { return folds[fold]; }
 
-    unsigned historyLength(unsigned fold) const
-    {
-        return expiredAge[fold] + 1;
-    }
-
-    unsigned width(unsigned fold) const
-    {
-        return static_cast<unsigned>(std::countr_zero(topBit[fold]));
-    }
-
     /** Number of folds tracked. */
     unsigned size() const { return static_cast<unsigned>(folds.size()); }
 

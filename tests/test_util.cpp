@@ -298,8 +298,9 @@ FoldedHistoryBank
 makeShapeBank()
 {
     FoldedHistoryBank bank(251);
-    for (const auto &[len, width] : kFoldShapes)
-        bank.add(len, width);
+    for (unsigned f = 0; f < std::size(kFoldShapes); ++f)
+        EXPECT_EQ(bank.add(kFoldShapes[f].first, kFoldShapes[f].second),
+                  f);
     return bank;
 }
 
@@ -307,8 +308,7 @@ void
 expectFoldsMatch(const FoldedHistoryBank &bank, int step)
 {
     for (unsigned f = 0; f < bank.size(); ++f) {
-        const unsigned len = bank.historyLength(f);
-        const unsigned width = bank.width(f);
+        const auto [len, width] = kFoldShapes[f];
         ASSERT_EQ(bank.value(f),
                   directFold(bank.history(), len, width))
             << "len " << len << " width " << width << " step " << step;
@@ -331,10 +331,6 @@ TEST(FoldedHistory, MatchesDirectFoldProperty)
 {
     FoldedHistoryBank bank = makeShapeBank();
     ASSERT_EQ(bank.size(), std::size(kFoldShapes));
-    for (unsigned f = 0; f < bank.size(); ++f) {
-        EXPECT_EQ(bank.historyLength(f), kFoldShapes[f].first);
-        EXPECT_EQ(bank.width(f), kFoldShapes[f].second);
-    }
     Rng rng(21);
     // 256-slot ring: 4000 pushes wrap it more than 15 times.
     for (int step = 0; step < 4000; ++step) {
