@@ -246,7 +246,7 @@ class CoreModel : public TraceSink
     IssueWindow issueSlots;
     SlotAllocator retireSlots;
 
-    std::array<unsigned, kMaxInstrClass + 1> classLatency;  ///< not loads
+    std::array<unsigned, kMaxInstrClass + 1> classLatency{};  ///< not loads
     uint64_t regReady[kNumRegs] = {};
     CycleRing robRing;     ///< retire cycles, ROB window
     CycleRing schedRing;   ///< issue cycles, scheduler window

@@ -536,9 +536,9 @@ ServeServer::ioLoop()
     // Shutdown: close every connection. Workers are already gone (the
     // drain joins them before the io thread), so nobody writes.
     // closeConn() erases from `conns`, so walk a swapped-out list.
-    std::vector<std::shared_ptr<Conn>> open;
-    open.swap(conns);
-    for (const auto &conn : open)
+    std::vector<std::shared_ptr<Conn>> closing;
+    closing.swap(conns);
+    for (const auto &conn : closing)
         closeConn(conn);
 }
 
