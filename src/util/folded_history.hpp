@@ -86,14 +86,13 @@ class HistoryRegister
 /**
  * A predictor's global history plus every folded view of it.
  *
- * Fold i is the XOR fold of the newest historyLength(i) outcomes down
- * to width(i) bits: the outcome of age a lands on bit a % width(i), so
- * for a history of at most 64 outcomes the value equals
- * foldTo(history().low(historyLength(i)), width(i)). push() updates
+ * A fold added as add(L, W) is the XOR fold of the newest L outcomes
+ * down to W bits: the outcome of age a lands on bit a % W, so for
+ * L <= 64 its value equals foldTo(history().low(L), W). push() updates
  * every fold in O(1) each, struct-of-arrays, with no variable shifts:
  * the new outcome enters at bit 0, the outcome leaving the window is
- * cancelled at bit historyLength % width, and the bit shifted out at
- * the top wraps around to bit 0.
+ * cancelled at bit L % W, and the bit shifted out at the top wraps
+ * around to bit 0.
  */
 class FoldedHistoryBank
 {
@@ -138,7 +137,7 @@ class FoldedHistoryBank
         hist.push(taken);
     }
 
-    /** Current value of fold `fold` (width(fold) bits). */
+    /** Current value of fold `fold` (its W bits). */
     uint32_t value(unsigned fold) const { return folds[fold]; }
 
     /** Number of folds tracked. */
@@ -173,17 +172,18 @@ class FoldedHistoryBank
             const uint32_t *__restrict top, size_t n, uint32_t in)
     {
         for (size_t i = 0; i < n; ++i) {
-            const uint32_t v = ((fold[i] << 1) | in) ^ (out[i] & (0u - gone[i]));
+            const uint32_t v =
+                ((fold[i] << 1) | in) ^ (out[i] & (0u - gone[i]));
             fold[i] = (v & low[i]) ^ ((v & top[i]) != 0 ? 1u : 0u);
         }
     }
 
     HistoryRegister hist;
     std::vector<uint32_t> folds;
-    std::vector<uint32_t> lowMask;     ///< width bits set
-    std::vector<uint32_t> topBit;      ///< bit `width`, wraps to bit 0
-    std::vector<uint32_t> outBit;      ///< bit historyLength % width
-    std::vector<unsigned> expiredAge;  ///< historyLength - 1
+    std::vector<uint32_t> lowMask;     ///< W bits set
+    std::vector<uint32_t> topBit;      ///< bit W, wraps to bit 0
+    std::vector<uint32_t> outBit;      ///< bit L % W
+    std::vector<unsigned> expiredAge;  ///< L - 1
     std::vector<uint32_t> expired;     ///< push() scratch, 0 or 1
 };
 
