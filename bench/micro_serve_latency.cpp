@@ -65,7 +65,6 @@ main(int argc, char **argv)
     opts.addInt("slice", 200000,
                 "random slice width per request (0 = whole trace)");
     opts.addInt("workers", 4, "server worker threads");
-    opts.addInt("batch", 8, "max same-slice requests per replay pass");
     opts.addString("clients", "1,2,4,8",
                    "comma-separated client counts to sweep");
     const double scale = parseScale(opts, argc, argv);
@@ -108,18 +107,16 @@ main(int argc, char **argv)
            "the Sec. III trace-reuse methodology, as a service");
     const Workload w = findWorkload(opts.getString("workload"));
     std::printf("workload %s, %llu-record trace, %d worker(s), "
-                "batch %d, corpus %s\n\n",
+                "corpus %s\n\n",
                 w.name.c_str(),
                 static_cast<unsigned long long>(instructions),
                 static_cast<int>(opts.getInt("workers")),
-                static_cast<int>(opts.getInt("batch")),
                 cacheDir.c_str());
 
     ServeConfig config;
     config.socketPath = socketPath;
     config.workers = static_cast<unsigned>(opts.getInt("workers"));
     config.queueDepth = 256;
-    config.maxBatch = static_cast<unsigned>(opts.getInt("batch"));
     config.traceCacheDir = cacheDir;
     ServeServer server(std::move(config));
     if (const Status st = server.start(); !st.ok())
@@ -253,8 +250,6 @@ main(int argc, char **argv)
             oc.workers =
                 static_cast<unsigned>(opts.getInt("workers"));
             oc.queueDepth = 256;
-            oc.maxBatch =
-                static_cast<unsigned>(opts.getInt("batch"));
             oc.traceCacheDir = cacheDir;
             oc.maxInflightCostMs = 200;
             auto server =
@@ -367,9 +362,7 @@ main(int argc, char **argv)
                 fc.workers = workers;
                 fc.workerCommand = {BPNSP_SERVED_BIN,
                                     "--trace-cache=" + cacheDir,
-                                    "--threads=2",
-                                    "--batch=" + std::to_string(
-                                        opts.getInt("batch"))};
+                                    "--threads=2"};
                 fc.heartbeatMs = 100;
                 fc.backoffBaseMs = 50;
                 fc.backoffCapMs = 500;

@@ -1,29 +1,22 @@
 /**
  * @file
- * Trace store micro-benchmark: demonstrates that a cached trace
- * replays bit-identically and measurably faster than regenerating it
- * through the VM, and that shard-parallel replay scales further.
+ * Trace store micro-benchmark: times regenerating a trace through the
+ * VM against replaying it from the trace cache, and checks that the
+ * replay is bit-identical.
  *
- * Three timed phases over the same workload trace:
- *   cold   — VM execution, recording into the trace cache
- *   warm   — replay of the cached store through the same sink set
- *   shards — parallel replay, one analysis sink per worker thread
+ * Two timed phases over the same workload trace:
+ *   cold — VM execution, recording into the trace cache
+ *   warm — replay of the cached store through the same sink set
  *
  * Bit-identity is proven with an order-sensitive digest over every
  * field of every record (DigestSink).
  */
 
 #include <chrono>
-#include <memory>
-#include <thread>
-#include <vector>
 
 #include "common.hpp"
 #include "tracestore/cache.hpp"
 #include "tracestore/format.hpp"
-#include "tracestore/shard.hpp"
-#include "tracestore/store.hpp"
-#include "util/logging.hpp"
 
 using namespace bpnsp;
 using namespace bpnsp::bench;
@@ -43,16 +36,12 @@ secondsSince(std::chrono::steady_clock::time_point start)
 int
 main(int argc, char **argv)
 {
-    OptionParser opts("Trace store cold/warm/sharded replay timing.");
+    OptionParser opts("Trace store cold/warm replay timing.");
     opts.addString("workload", "mcf_like", "workload to trace");
     opts.addInt("instructions", 4000000, "trace length (pre-scale)");
-    opts.addInt("shards", 0, "replay shards (0 = hardware threads)");
     const double scale = parseScale(opts, argc, argv);
     const uint64_t instructions = static_cast<uint64_t>(
         static_cast<double>(opts.getInt("instructions")) * scale);
-    unsigned shards = static_cast<unsigned>(opts.getInt("shards"));
-    if (shards == 0)
-        shards = std::max(1u, std::thread::hardware_concurrency());
 
     // Default to a temporary cache so the bench runs standalone; an
     // explicit --trace-cache exercises (and populates) a real one.
@@ -89,27 +78,6 @@ main(int argc, char **argv)
         coldDigest.digest() == warmDigest.digest() &&
         coldDigest.count() == warmDigest.count();
 
-    // Sharded: parallel replay of the same store, one digest per
-    // shard (sinks are per-shard, so analyses scale with cores).
-    const std::string entry = TraceCache(traceCacheDir()).entryPath(key);
-    Status st;
-    auto reader = TraceStoreReader::open(entry, &st);
-    if (reader == nullptr)
-        fatal("cannot open cache entry for shard replay: ", st.str());
-    std::vector<std::unique_ptr<CountingSink>> counters;
-    auto shardStart = std::chrono::steady_clock::now();
-    const uint64_t replayed = replayShards(
-        *reader, shards,
-        [&](const ShardSlice &) -> TraceSink & {
-            counters.push_back(std::make_unique<CountingSink>());
-            return *counters.back();
-        },
-        &st);
-    const double shardSec = secondsSince(shardStart);
-    if (replayed != instructions)
-        fatal("shard replay delivered ", replayed, " of ", instructions,
-              " records: ", st.str());
-
     TextTable table("Trace store timing (" + w.name + ")");
     table.setHeader({"phase", "records", "seconds", "speedup vs cold"});
     const auto row = [&](const char *phase, uint64_t records,
@@ -122,21 +90,14 @@ main(int argc, char **argv)
     };
     row("cold (VM + record)", coldDigest.count(), coldSec);
     row("warm (cached replay)", warmDigest.count(), warmSec);
-    row(("sharded x" + std::to_string(shards)).c_str(), replayed,
-        shardSec);
     emit(table, opts.getFlag("csv"));
 
     // Export the phase timings as gauges so a --metrics-out report of
     // this bench doubles as a perf-trajectory data point.
     obs::gauge("bench.trace_replay.cold_seconds").set(coldSec);
     obs::gauge("bench.trace_replay.warm_seconds").set(warmSec);
-    obs::gauge("bench.trace_replay.shard_seconds").set(shardSec);
     obs::gauge("bench.trace_replay.warm_speedup")
         .set(warmSec > 0 ? coldSec / warmSec : 0.0);
-    obs::gauge("bench.trace_replay.shard_speedup")
-        .set(shardSec > 0 ? coldSec / shardSec : 0.0);
-    obs::gauge("bench.trace_replay.shards")
-        .set(static_cast<double>(shards));
 
     std::printf("replay bit-identical to execution: %s (digest "
                 "%016llx over %llu records x 12 fields)\n",

@@ -1,20 +1,16 @@
 /**
  * @file
  * Trace store tour: capture a workload execution into the compact
- * on-disk format, replay a slice of it by seeking through the footer
- * index, and fan the whole trace out across worker threads with the
- * shard replay driver. The raw building blocks behind --trace-cache.
+ * on-disk format and replay a slice of it by seeking through the
+ * footer index. The raw building blocks behind --trace-cache.
  *
  * Usage: trace_store [--workload=mcf_like] [--instructions=1000000]
- *                    [--shards=4] [--path=/tmp/bpnsp_demo.bpt]
+ *                    [--path=/tmp/bpnsp_demo.bpt]
  */
 
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "core/runner.hpp"
-#include "tracestore/shard.hpp"
 #include "tracestore/store.hpp"
 #include "util/logging.hpp"
 #include "faultsim/faultsim.hpp"
@@ -27,10 +23,9 @@ using namespace bpnsp;
 int
 main(int argc, char **argv)
 {
-    OptionParser opts("Capture, seek, and shard-replay a trace store.");
+    OptionParser opts("Capture and seek a trace store.");
     opts.addString("workload", "mcf_like", "workload name");
     opts.addInt("instructions", 1000000, "trace length");
-    opts.addInt("shards", 4, "parallel replay shards");
     opts.addString("path", "/tmp/bpnsp_demo.bpt", "store file path");
     opts.parse(argc, argv);
     obs::configureFromOptions(opts);
@@ -69,37 +64,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(mid + 5),
                 static_cast<unsigned long long>(middle.get()[0].ip));
 
-    // 3. Shard replay: one analysis sink per shard, merged afterwards.
-    std::vector<std::unique_ptr<CountingSink>> counters;
-    const uint64_t replayed = replayShards(
-        *reader, static_cast<unsigned>(opts.getInt("shards")),
-        [&](const ShardSlice &slice) -> TraceSink & {
-            std::printf("  shard %llu: records [%llu..%llu)\n",
-                        static_cast<unsigned long long>(slice.index),
-                        static_cast<unsigned long long>(
-                            slice.firstRecord),
-                        static_cast<unsigned long long>(
-                            slice.firstRecord + slice.numRecords));
-            counters.push_back(std::make_unique<CountingSink>());
-            return *counters.back();
-        },
-        &st);
-    if (!st.ok())
-        fatal("shard replay failed: ", st.str());
-
-    uint64_t branches = 0;
-    uint64_t taken = 0;
-    for (const auto &counter : counters) {
-        branches += counter->condBranchCount();
-        taken += counter->takenCount();
-    }
-    std::printf("shard-merged totals: %llu records, %llu conditional "
-                "branches (%.1f%% taken)\n",
-                static_cast<unsigned long long>(replayed),
-                static_cast<unsigned long long>(branches),
-                branches ? 100.0 * static_cast<double>(taken) /
-                               static_cast<double>(branches)
-                         : 0.0);
     std::remove(path.c_str());
     return 0;
 }

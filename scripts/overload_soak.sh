@@ -52,7 +52,6 @@ echo "== overload soak: workdir $WORK"
     --trace-cache="$CACHE" \
     --threads=2 \
     --queue-depth=128 \
-    --batch=4 \
     --max-inflight-cost=50 \
     --shed-policy=heaviest \
     --metrics-out="$REPORT" \
@@ -212,8 +211,9 @@ for _ in $(seq 1 100); do
 done
 [ -S "$STALL_SOCKET" ] || { echo "stall daemon never bound" >&2; exit 1; }
 
-# Distinct slices per blocker: identical slices would coalesce into
-# one batch and free the worker after a single stall.
+# Every execution stalls, and each blocker is its own execution, so
+# the three of them keep the lone worker busy while the deadline
+# request waits in the queue.
 BLOCKER_PIDS=()
 for i in 1 2 3; do
     "$CLIENT" --socket="$STALL_SOCKET" --op=simulate \

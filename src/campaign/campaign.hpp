@@ -30,8 +30,9 @@
  * Determinism: cells execute in declaration order, the VM and
  * predictors are seeded deterministically, and the results document
  * excludes wall-clock fields, so a campaign's results file is a pure
- * function of its spec (plus the shard count, which changes per-shard
- * predictor warm-up and therefore participates in the spec digest).
+ * function of its spec. Each cell's predictor stays warm over the
+ * whole budget, and the trace cache only changes where the records
+ * come from, never which records a cell sees.
  */
 
 #ifndef BPNSP_CAMPAIGN_CAMPAIGN_HPP
@@ -80,9 +81,6 @@ struct CampaignConfig
     int maxRetries = 2;           ///< retries per cell after the first
                                   ///< attempt (retryable codes only)
     uint64_t backoffMs = 100;     ///< base backoff, doubled per retry
-    uint64_t stallTimeoutMs = 0;  ///< shard-worker watchdog (0 = off)
-    unsigned shards = 0;          ///< >0: shard-replay cells through
-                                  ///< the trace cache
 };
 
 /** Final disposition of one cell. */
@@ -123,9 +121,9 @@ struct CampaignResult
 
 /**
  * Digest over everything that determines the campaign's results: the
- * cell list and the shard count. Operational knobs (deadlines,
- * retries, backoff, stall timeout) are excluded so they can change
- * between a run and its resume. 16 hex digits.
+ * cell list. Operational knobs (deadlines, retries, backoff) are
+ * excluded so they can change between a run and its resume. 16 hex
+ * digits.
  */
 std::string campaignSpecDigest(const CampaignConfig &config);
 

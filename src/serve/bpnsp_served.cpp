@@ -160,8 +160,6 @@ main(int argc, char **argv)
                 "fleet router: duplicate an idempotent request to the "
                 "next shard when the owning worker has not replied "
                 "after N ms (0 = off)");
-    opts.addInt("batch", 8,
-                "max same-slice Simulate requests per replay pass");
     opts.addString("trace-cache", "",
                    "trace corpus directory (required; also "
                    "BPNSP_TRACE_CACHE)");
@@ -263,7 +261,6 @@ main(int argc, char **argv)
             "--threads=" + std::to_string(opts.getInt("threads")),
             "--queue-depth=" +
                 std::to_string(opts.getInt("queue-depth")),
-            "--batch=" + std::to_string(opts.getInt("batch")),
             "--chunk-cache-mb=" +
                 std::to_string(opts.getInt("chunk-cache-mb")),
             "--max-open-readers=" +
@@ -316,7 +313,6 @@ main(int argc, char **argv)
     config.workers = static_cast<unsigned>(opts.getInt("threads"));
     config.queueDepth =
         static_cast<size_t>(opts.getInt("queue-depth"));
-    config.maxBatch = static_cast<unsigned>(opts.getInt("batch"));
     config.traceCacheDir = cacheDir;
     config.maxOpenReaders =
         static_cast<size_t>(opts.getInt("max-open-readers"));

@@ -7,8 +7,7 @@
  * The client is deliberately simple — connect, send one frame, block
  * for the matching reply — because every caller here (CLI, tests,
  * bench workers) wants request/reply semantics; concurrency comes from
- * running many clients, which is also what the server's batching is
- * designed to exploit.
+ * running many clients against the server's worker pool.
  *
  * Retry contract (fleet mode): a RetryPolicy makes call() retry — with
  * bounded, jittered exponential backoff — when the failure is

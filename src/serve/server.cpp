@@ -276,8 +276,6 @@ ServeServer::ServeServer(ServeConfig config)
 {
     if (cfg.workers == 0)
         cfg.workers = 1;
-    if (cfg.maxBatch == 0)
-        cfg.maxBatch = 1;
     if (cfg.queueDepth == 0)
         cfg.queueDepth = 1;
     if (cfg.maxOpenReaders == 0)
@@ -1054,9 +1052,9 @@ ServeServer::admit(const std::shared_ptr<Conn> &conn,
 /**
  * Best-effort cancellation of an earlier request on this connection.
  * Queued target: shed before it costs a worker anything, CANCELLED
- * reply to the original id. In-flight solo target: its token fires
- * and the handler unwinds at its next poll. Batch members and
- * already-answered ids report cancelFound = 0.
+ * reply to the original id. In-flight target: its token fires and the
+ * handler unwinds at its next poll. Already-answered ids report
+ * cancelFound = 0.
  */
 void
 ServeServer::handleCancel(const std::shared_ptr<Conn> &conn,
@@ -1122,12 +1120,9 @@ ServeServer::handleCancel(const std::shared_ptr<Conn> &conn,
 void
 ServeServer::workerLoop()
 {
-    while (true) {
-        std::vector<Pending> batch = popBatch();
-        if (batch.empty())
-            return;   // quit
-        execute(std::move(batch));
-    }
+    Pending pending;
+    while (popRequest(&pending))
+        execute(std::move(pending));
 }
 
 /**
@@ -1234,103 +1229,57 @@ ServeServer::popNextLocked(Pending *out)
 }
 
 /**
- * Pop the next request per the fair-share scheduler plus — when it is
- * a Simulate with no deadline — every queued Simulate for the *same
- * trace slice* (any client), so one replay pass serves them all.
- * Requests with deadlines run solo: batching would couple their
- * cancellation. Expired requests found while popping are answered
- * DEADLINE_EXCEEDED here, before any worker time is spent on them.
+ * Pop the next request per the fair-share scheduler and register it
+ * in flight, individually cancellable by id. Expired requests found
+ * while popping are answered DEADLINE_EXCEEDED here, before any worker
+ * time is spent on them. Returns false once the server quits with
+ * nothing left to pop.
  */
-std::vector<ServeServer::Pending>
-ServeServer::popBatch()
+bool
+ServeServer::popRequest(Pending *out)
 {
-    static obs::Histogram &batchSize =
-        obs::histogram("serve.batch_size");
     static obs::Histogram &queueWait =
         obs::histogram("serve.queue_wait_ns");
 
     for (;;) {
-        std::vector<Pending> batch;
+        bool popped = false;
         std::vector<Pending> expired;
-        uint64_t formStartNs = 0;
+        uint64_t sweepStartNs = 0;
         uint32_t retryAfterMs = 0;
         {
             std::unique_lock<std::mutex> lock(queueMu);
             queueCv.wait(lock, [this] {
                 return quitFlag.load() || queuedCount > 0;
             });
+            sweepStartNs = nowNs();
             sweepExpiredLocked(&expired);
             retryAfterMs = retryAfterMsLocked();
 
-            formStartNs = nowNs();
-            Pending head;
-            if (popNextLocked(&head)) {
-                batch.push_back(std::move(head));
-
-                // Copied, not referenced: the batch vector
-                // reallocates as members join, which would invalidate
-                // any reference into it.
-                const ServeRequest headReq = batch.front().request;
-                if (headReq.type == MessageType::Simulate &&
-                    headReq.deadlineMs == 0) {
-                    for (PeerQueue &pq : peerQueues) {
-                        for (auto it = pq.batch.begin();
-                             it != pq.batch.end() &&
-                             batch.size() < cfg.maxBatch;) {
-                            const ServeRequest &r = it->request;
-                            const bool sameSlice =
-                                r.type == MessageType::Simulate &&
-                                r.deadlineMs == 0 &&
-                                r.workload == headReq.workload &&
-                                r.inputIdx == headReq.inputIdx &&
-                                r.instructions ==
-                                    headReq.instructions &&
-                                r.first == headReq.first &&
-                                r.count == headReq.count;
-                            if (sameSlice) {
-                                Pending member = std::move(*it);
-                                it = pq.batch.erase(it);
-                                removeQueuedLocked(member);
-                                batch.push_back(std::move(member));
-                            } else {
-                                ++it;
-                            }
-                        }
-                        if (batch.size() >= cfg.maxBatch)
-                            break;
-                    }
-                }
-
-                inFlight += static_cast<unsigned>(batch.size());
-                for (const Pending &p : batch) {
-                    inflightCostNs += p.costNs;
-                    // Solo requests are individually cancellable; a
-                    // multi-member batch shares one replay pass, so
-                    // cancelling one member would fail the others.
-                    if (batch.size() == 1)
-                        inflightTokens[{p.conn->id, p.requestId}] =
-                            p.cancel;
-                }
+            popped = popNextLocked(out);
+            if (popped) {
+                ++inFlight;
+                inflightCostNs += out->costNs;
+                inflightTokens[{out->conn->id, out->requestId}] =
+                    out->cancel;
                 // serve.accepted counts requests handed to a worker:
                 // queued work that is later shed, swept, or cancelled
                 // was never accepted, keeping shed + accepted <=
                 // requests additive.
-                for (size_t i = 0; i < batch.size(); ++i)
-                    serveAccepted().inc();
+                serveAccepted().inc();
             }
             updateQueueGaugesLocked();
             if (queuedCount == 0 && inFlight == 0)
                 idleCv.notify_all();
-            if (batch.empty() && expired.empty() && quitFlag.load())
-                return batch;
+            if (!popped && expired.empty() && quitFlag.load())
+                return false;
         }
 
         if (!expired.empty()) {
             const uint64_t sweepEndNs = nowNs();
             obs::emitSpan("serve.queue_sweep",
-                          expired.front().traceId, formStartNs,
-                          sweepEndNs > formStartNs
-                              ? sweepEndNs - formStartNs
+                          expired.front().traceId, sweepStartNs,
+                          sweepEndNs > sweepStartNs
+                              ? sweepEndNs - sweepStartNs
                               : 0);
             for (const Pending &p : expired) {
                 serveRejected().inc();
@@ -1343,30 +1292,23 @@ ServeServer::popBatch()
                           p.traceId, retryAfterMs);
             }
         }
-        if (batch.empty())
+        if (!popped)
             continue;   // swept everything; wait for more work
 
-        batchSize.observe(batch.size());
         const uint64_t now = nowNs();
-        for (const Pending &p : batch) {
-            const uint64_t wait =
-                now > p.enqueuedNs ? now - p.enqueuedNs : 0;
-            queueWait.observe(wait);
-            // Retroactive span: the wait started on the io thread,
-            // ended here. Recorded explicitly since no scope lived
-            // across both.
-            obs::emitSpan("serve.queue_wait", p.traceId, p.enqueuedNs,
-                          wait);
-        }
-        if (batch.size() > 1)
-            obs::emitSpan("serve.batch_form", batch.front().traceId,
-                          formStartNs, now - formStartNs);
-        return batch;
+        const uint64_t wait =
+            now > out->enqueuedNs ? now - out->enqueuedNs : 0;
+        queueWait.observe(wait);
+        // Retroactive span: the wait started on the io thread, ended
+        // here. Recorded explicitly since no scope lived across both.
+        obs::emitSpan("serve.queue_wait", out->traceId, out->enqueuedNs,
+                      wait);
+        return true;
     }
 }
 
 void
-ServeServer::execute(std::vector<Pending> batch)
+ServeServer::execute(Pending p)
 {
     static obs::Counter &stalls = obs::counter("serve.worker_stalls");
     static obs::Histogram &execNs = obs::histogram("serve.exec_ns");
@@ -1385,208 +1327,129 @@ ServeServer::execute(std::vector<Pending> batch)
 
     const uint64_t execStartNs = nowNs();
     {
-        // The batch executes under the head's trace id; spans from
-        // the shared replay (chunk decode, cache lookups) attach
-        // there, and each member still gets its own root
-        // serve.request span below.
-        obs::ScopedTraceId traceScope(batch.front().traceId);
+        obs::ScopedTraceId traceScope(p.traceId);
         obs::Span span("serve.execute");
-        if (batch.front().request.type == MessageType::Simulate) {
-            executeSimulateBatch(batch);
-        } else {
-            // Non-simulate requests are popped solo. The request's
-            // own token (registered in inflightTokens at pop) makes
-            // it cancellable; the deadline is *absolute* from
-            // admission, so queue wait already spent the budget —
-            // the deadline-propagation contract at this hop.
-            Pending &p = batch.front();
-            CancelToken &token = *p.cancel;
-            if (p.deadlineNs != 0) {
-                const uint64_t now = nowNs();
-                if (now >= p.deadlineNs)
-                    token.requestCancel(CancelCause::Deadline);
-                else
-                    token.setDeadlineAfterMs(
-                        (p.deadlineNs - now + 999999ull) / 1000000ull);
-            }
-            CancelScope scope(token);
-            ServeReply reply;
-            switch (p.request.type) {
-              case MessageType::BranchStats:
-                reply = executeBranchStats(p.request);
-                break;
-              case MessageType::H2p:
-                reply = executeH2p(p.request);
-                break;
-              case MessageType::Materialize:
-                reply = executeMaterialize(p.request);
-                break;
-              default:
-                reply.type = MessageType::Error;
-                reply.code = WireCode::Unimplemented;
-                reply.message =
-                    std::string("no handler for ") +
-                    messageTypeName(p.request.type);
-                break;
-            }
-            reply.traceId = p.traceId;
-            sendReply(p.conn, p.requestId, reply);
+        // The request's own token (registered in inflightTokens at
+        // pop) makes it cancellable; the deadline is *absolute* from
+        // admission, so queue wait already spent the budget — the
+        // deadline-propagation contract at this hop.
+        CancelToken &token = *p.cancel;
+        if (p.deadlineNs != 0) {
+            const uint64_t now = nowNs();
+            if (now >= p.deadlineNs)
+                token.requestCancel(CancelCause::Deadline);
+            else
+                token.setDeadlineAfterMs(
+                    (p.deadlineNs - now + 999999ull) / 1000000ull);
         }
+        CancelScope scope(token);
+        ServeReply reply;
+        switch (p.request.type) {
+          case MessageType::Simulate:
+            reply = executeSimulate(p.request);
+            break;
+          case MessageType::BranchStats:
+            reply = executeBranchStats(p.request);
+            break;
+          case MessageType::H2p:
+            reply = executeH2p(p.request);
+            break;
+          case MessageType::Materialize:
+            reply = executeMaterialize(p.request);
+            break;
+          default:
+            reply.type = MessageType::Error;
+            reply.code = WireCode::Unimplemented;
+            reply.message = std::string("no handler for ") +
+                            messageTypeName(p.request.type);
+            break;
+        }
+        reply.traceId = p.traceId;
+        obs::Span replySpan("serve.reply");
+        sendReply(p.conn, p.requestId, reply);
     }
     const uint64_t execEndNs = nowNs();
     const uint64_t execDurNs =
         execEndNs > execStartNs ? execEndNs - execStartNs : 0;
     execNs.observe(static_cast<double>(execDurNs));
 
-    // Refine the cost model from what actually happened. Batch
-    // members share one replay, so the whole batch's units back one
-    // observation; cold executions measured generation, not the op
-    // class, and are skipped inside.
-    {
-        uint64_t units = 0;
-        bool warm = true;
-        for (const Pending &p : batch) {
-            units += p.costUnits;
-            warm = warm && p.costWarm;
-        }
-        noteObservedCost(batch.front().request.type, units, execDurNs,
-                         warm);
-    }
+    // Refine the cost model from what actually happened; cold
+    // executions measured generation, not the op class, and are
+    // skipped inside.
+    noteObservedCost(p.request.type, p.costUnits, execDurNs,
+                     p.costWarm);
 
     const uint64_t now = nowNs();
-    for (const Pending &p : batch) {
-        const uint64_t wall =
-            now > p.enqueuedNs ? now - p.enqueuedNs : 0;
-        requestNs.observe(wall);
-        requestNsForType(p.request.type).observe(wall);
-        // The root of each request's span tree: admission to reply.
-        obs::emitSpan("serve.request", p.traceId, p.enqueuedNs, wall);
-        if (cfg.slowMs != 0 &&
-            wall >= static_cast<uint64_t>(cfg.slowMs) * 1000000ull)
-            logSlowRequest(p, wall);
-        serveCompleted().inc();
-    }
+    const uint64_t wall = now > p.enqueuedNs ? now - p.enqueuedNs : 0;
+    requestNs.observe(wall);
+    requestNsForType(p.request.type).observe(wall);
+    // The root of the request's span tree: admission to reply.
+    obs::emitSpan("serve.request", p.traceId, p.enqueuedNs, wall);
+    if (cfg.slowMs != 0 &&
+        wall >= static_cast<uint64_t>(cfg.slowMs) * 1000000ull)
+        logSlowRequest(p, wall);
+    serveCompleted().inc();
 
     std::lock_guard<std::mutex> lock(queueMu);
-    inFlight -= static_cast<unsigned>(batch.size());
-    for (const Pending &p : batch) {
-        inflightCostNs -= std::min(inflightCostNs, p.costNs);
-        inflightTokens.erase({p.conn->id, p.requestId});
-    }
+    --inFlight;
+    inflightCostNs -= std::min(inflightCostNs, p.costNs);
+    inflightTokens.erase({p.conn->id, p.requestId});
     updateQueueGaugesLocked();
     if (queuedCount == 0 && inFlight == 0)
         idleCv.notify_all();
 }
 
-void
-ServeServer::executeSimulateBatch(std::vector<Pending> &batch)
+ServeReply
+ServeServer::executeSimulate(const ServeRequest &request)
 {
-    static obs::Counter &batches = obs::counter("serve.batches");
-    batches.inc();
+    ServeReply reply;
+    reply.type = MessageType::SimulateReply;
 
-    // Per-request validation first: an invalid member gets its error
-    // reply and drops out without sinking the whole batch.
-    std::vector<Pending *> live;
     const Workload *workload = nullptr;
-    for (Pending &p : batch) {
-        const Status st = validateRequest(p.request, &workload);
-        if (!st.ok()) {
-            sendError(p.conn, p.requestId, wireCodeFor(st), st.str(),
-                      p.traceId);
-            continue;
+    Status st = validateRequest(request, &workload);
+    if (st.ok()) {
+        std::shared_ptr<TraceStoreReader> reader;
+        {
+            obs::Span span("serve.ensure_reader");
+            reader = ensureReader(*workload, request, &st);
         }
-        live.push_back(&p);
-    }
-    if (live.empty())
-        return;
-
-    // One token for the batch: members were only batched because none
-    // carries a deadline, so a multi-member token exists only to
-    // chain the server's hard stop (cancelling one member must not
-    // fail the others). A solo simulate runs under its *own* token —
-    // individually cancellable via Cancel — with its deadline armed
-    // absolute from admission, so queue wait already spent budget.
-    CancelToken batchToken(&stopToken);
-    CancelToken *token = &batchToken;
-    if (live.size() == 1) {
-        token = live[0]->cancel.get();
-        if (live[0]->deadlineNs != 0) {
-            const uint64_t now = nowNs();
-            if (now >= live[0]->deadlineNs)
-                token->requestCancel(CancelCause::Deadline);
-            else
-                token->setDeadlineAfterMs(
-                    (live[0]->deadlineNs - now + 999999ull) /
-                    1000000ull);
+        if (st.ok()) {
+            const uint64_t count = request.count == 0
+                                       ? reader->count() - request.first
+                                       : request.count;
+            std::unique_ptr<BranchPredictor> predictor =
+                makePredictor(request.predictor);
+            PredictorSim sim(*predictor, /*collect_per_branch=*/false);
+            {
+                obs::Span span("serve.replay");
+                st = reader->replayRange(request.first, count, sim);
+            }
+            if (st.ok()) {
+                sim.onEnd();   // flush sim deltas into the bp.* counters
+                reply.delivered = count;
+                reply.condExecs = sim.condExecs();
+                reply.condMispreds = sim.condMispreds();
+                reply.accuracyBits = doubleBits(sim.accuracy());
+            } else if (st.code() == StatusCode::CorruptData) {
+                // The store changed under us (or a fault spec fired):
+                // quarantine the entry so the next request regenerates
+                // it, and make sure the stale mmap is dropped.
+                const WorkloadInput &input =
+                    workload->inputs.at(request.inputIdx);
+                const TraceCacheKey key{workload->name, input.label,
+                                        input.seed,
+                                        request.instructions};
+                cache->quarantine(key, st.str());
+                dropReader(traceCacheDigest(key));
+            }
         }
-    }
-    CancelScope scope(*token);
-
-    const ServeRequest &head = live[0]->request;
-    Status st;
-    std::shared_ptr<TraceStoreReader> reader;
-    {
-        obs::Span span("serve.ensure_reader");
-        reader = ensureReader(*workload, head, &st);
-    }
-    if (reader == nullptr) {
-        for (Pending *p : live)
-            sendError(p->conn, p->requestId, wireCodeFor(st),
-                      st.str(), p->traceId);
-        return;
-    }
-
-    const uint64_t first = head.first;
-    const uint64_t count =
-        head.count == 0 ? reader->count() - first : head.count;
-
-    // One replay pass over the shared mmap'd store drives every
-    // member's predictor sim; each sim sees the identical stream a
-    // direct in-process run would deliver.
-    std::vector<std::unique_ptr<BranchPredictor>> predictors;
-    std::vector<std::unique_ptr<PredictorSim>> sims;
-    FanoutSink fanout;
-    for (Pending *p : live) {
-        predictors.push_back(makePredictor(p->request.predictor));
-        sims.push_back(std::make_unique<PredictorSim>(
-            *predictors.back(), /*collect_per_branch=*/false));
-        fanout.add(sims.back().get());
-    }
-
-    {
-        obs::Span span("serve.replay");
-        st = reader->replayRange(first, count, fanout);
     }
     if (!st.ok()) {
-        if (st.code() == StatusCode::CorruptData) {
-            // The store changed under us (or a fault spec fired):
-            // quarantine the entry so the next request regenerates it,
-            // and make sure the stale mmap is dropped.
-            const WorkloadInput &input =
-                workload->inputs.at(head.inputIdx);
-            const TraceCacheKey key{workload->name, input.label,
-                                    input.seed, head.instructions};
-            cache->quarantine(key, st.str());
-            dropReader(traceCacheDigest(key));
-        }
-        for (Pending *p : live)
-            sendError(p->conn, p->requestId, wireCodeFor(st),
-                      st.str(), p->traceId);
-        return;
+        reply.type = MessageType::Error;
+        reply.code = wireCodeFor(st);
+        reply.message = st.str();
     }
-    fanout.onEnd();   // flush sim deltas into the bp.* counters
-
-    obs::Span replySpan("serve.reply");
-    for (size_t i = 0; i < live.size(); ++i) {
-        ServeReply reply;
-        reply.type = MessageType::SimulateReply;
-        reply.traceId = live[i]->traceId;
-        reply.delivered = count;
-        reply.condExecs = sims[i]->condExecs();
-        reply.condMispreds = sims[i]->condMispreds();
-        reply.accuracyBits = doubleBits(sims[i]->accuracy());
-        sendReply(live[i]->conn, live[i]->requestId, reply);
-    }
+    return reply;
 }
 
 ServeReply

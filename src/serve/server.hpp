@@ -29,14 +29,11 @@
  *    met are swept out with DEADLINE_EXCEEDED before consuming worker
  *    time (serve.expired), and a Cancel frame sheds or cancels its
  *    target (serve.cancels) — the hedge-loser reclamation path.
- *  - A fixed pool of worker threads pops requests. A worker that pops
- *    a Simulate request batches it with queued Simulate requests for
- *    the *same trace slice* (same workload/input/instructions/[a,b),
- *    no deadline): one replay pass over the shared mmap'd store drives
- *    all of their predictor sims through a fanout (serve.batch_size).
- *    The in-memory decoded-chunk LRU (tracestore/chunk_cache.hpp)
- *    sits below this, so even unbatchable requests on a hot trace skip
- *    the varint decode.
+ *  - A fixed pool of worker threads pops one request at a time and
+ *    dispatches it to its op's handler, which replays the shared
+ *    mmap'd store into that request's own sinks. The in-memory
+ *    decoded-chunk LRU (tracestore/chunk_cache.hpp) sits below this,
+ *    so concurrent requests on a hot trace skip the varint decode.
  *  - Each request runs under its own CancelToken carrying the
  *    client-supplied deadline, parented to the server's stop token —
  *    deliberately *not* to the process-global signal token, so a
@@ -81,7 +78,6 @@ struct ServeConfig
     int tcpPort = 0;           ///< optional loopback TCP (0 = off)
     unsigned workers = 4;      ///< fixed worker pool size
     size_t queueDepth = 64;    ///< bounded admission queue
-    unsigned maxBatch = 8;     ///< max Simulate requests per batch
     std::string traceCacheDir; ///< on-disk corpus (required)
     size_t maxOpenReaders = 32; ///< mmap'd reader LRU cap
 
@@ -189,9 +185,9 @@ class ServeServer
 
     // --- worker side ---
     void workerLoop();
-    std::vector<Pending> popBatch();
-    void execute(std::vector<Pending> batch);
-    void executeSimulateBatch(std::vector<Pending> &batch);
+    bool popRequest(Pending *out);
+    void execute(Pending p);
+    ServeReply executeSimulate(const ServeRequest &request);
     ServeReply executeBranchStats(const ServeRequest &request);
     ServeReply executeH2p(const ServeRequest &request);
     ServeReply executeMaterialize(const ServeRequest &request);
@@ -259,8 +255,7 @@ class ServeServer
     unsigned inFlight = 0;                 ///< popped, not yet replied
 
     // In-flight cancel registry: (conn id, request id) -> the
-    // request's cancel token, registered at pop for solo requests
-    // (batch members cannot be cancelled individually).
+    // request's cancel token, registered at pop.
     std::map<std::pair<uint64_t, uint64_t>,
              std::shared_ptr<CancelToken>>
         inflightTokens;

@@ -23,9 +23,8 @@
  * signature churn reads the *current* token — a thread-local pointer
  * defaulting to the global token that callers override with a
  * CancelScope around a unit of work. Worker threads do NOT inherit the
- * spawning thread's scope; fan-out code (tracestore::replayShards)
- * captures the current token before spawning and re-installs it inside
- * each worker.
+ * spawning thread's scope; code that hands work to another thread (the
+ * serve worker pool) installs a scope around each unit of work there.
  *
  * Cost when idle: one relaxed atomic load per poll for an unarmed
  * token, plus one steady_clock read when a deadline is armed — cheap
@@ -186,7 +185,7 @@ CancelToken *currentCancelToken();
 
 /**
  * RAII thread-local override of currentCancelToken(). Campaign cells,
- * tests, and shard workers wrap their work in a scope so library code
+ * serve requests, and tests wrap their work in a scope so library code
  * deep below observes the narrowest token without parameter plumbing.
  */
 class CancelScope

@@ -2,10 +2,10 @@
  * @file
  * Tests for the campaign subsystem and the cancellation layer it is
  * built on: cancel-token semantics and scoping, cancel/deadline cuts
- * through the VM delivery loop and the replay path, the shard-pool
- * watchdog, journal round-trips with torn tails, retry/poison
- * handling, kill-between-appends + --resume bit-identity, and the
- * heartbeat-TTL lock takeover.
+ * through the VM delivery loop and the replay path, journal
+ * round-trips with torn tails, retry/poison handling,
+ * kill-between-appends + --resume bit-identity, results that do not
+ * move with the trace cache, and the heartbeat-TTL lock takeover.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +29,6 @@
 #include "faultsim/faultsim.hpp"
 #include "obs/metrics.hpp"
 #include "tracestore/cache.hpp"
-#include "tracestore/shard.hpp"
 #include "tracestore/store.hpp"
 #include "util/cancel.hpp"
 #include "util/status.hpp"
@@ -193,43 +192,6 @@ TEST(Cancel, DeadlinePropagatesThroughReplay)
     CountingSink sink;
     st = reader->replay(sink, 0);
     EXPECT_EQ(st.code(), StatusCode::DeadlineExceeded);
-}
-
-TEST(Cancel, WatchdogReapsStalledShardWorker)
-{
-    ScratchDir dir("watchdog");
-    const Workload workload = findWorkload("mcf_like");
-    const std::string path = dir.file("trace.bpt");
-    {
-        TraceStoreWriter writer(path);
-        runTrace(workload.build(0), {&writer}, 400000);
-    }
-    Status st;
-    auto reader = TraceStoreReader::open(path, &st);
-    ASSERT_NE(reader, nullptr) << st.str();
-    ASSERT_GE(reader->numChunks(), 2u);
-
-    const uint64_t firesBefore =
-        obs::counter("tracestore.shard.watchdog_fires").value();
-    ASSERT_TRUE(
-        faultsim::configure("tracestore.shard.stall*1").ok());
-    std::vector<std::unique_ptr<CountingSink>> sinks;
-    ReplayShardsOptions options;
-    options.stallTimeoutMs = 50;
-    Status replayStatus;
-    replayShards(
-        *reader, 2,
-        [&](const ShardSlice &) -> TraceSink & {
-            sinks.push_back(std::make_unique<CountingSink>());
-            return *sinks.back();
-        },
-        &replayStatus, options);
-    faultsim::reset();
-
-    EXPECT_EQ(replayStatus.code(), StatusCode::DeadlineExceeded)
-        << replayStatus.str();
-    EXPECT_GT(obs::counter("tracestore.shard.watchdog_fires").value(),
-              firesBefore);
 }
 
 // ---------------------------------------------------------------------
@@ -451,32 +413,46 @@ TEST(Campaign, KillBetweenAppendsThenResumeIsBitIdentical)
               renderCampaignResults(freshConfig, fresh));
 }
 
-TEST(Campaign, ShardedCellsMatchAcrossRuns)
+TEST(Campaign, SpecDigestIsStableAcrossVersions)
 {
-    ScratchDir dir("sharded");
-    setTraceCacheDir(dir.file("cache"));
-    CampaignConfig config = smallConfig(dir, "camp.journal");
-    config.cells.resize(1);
-    config.shards = 2;
-    const CampaignResult first = runCampaign(config);
+    // Journals carry this digest and --resume refuses a mismatch, so
+    // a change to the canonical spec string strands every journal
+    // written before it. The value is the one computed before the
+    // shard knob was removed.
+    CampaignConfig config;
+    config.cells = buildCells("mcf_like", 1, "gshare,bimodal", 30000);
+    ASSERT_EQ(config.cells.size(), 2u);
+    EXPECT_EQ(campaignSpecDigest(config), "7d18623b5b12bb28");
+}
 
-    CampaignConfig again = config;
-    again.journalPath = dir.file("again.journal");
-    const CampaignResult second = runCampaign(again);
+TEST(Campaign, ResultsMatchWithTraceCacheOffColdAndWarm)
+{
+    // The trace cache only changes where a cell's records come from,
+    // never which records it sees, so the results document must not
+    // move with it.
+    ScratchDir dir("cache_on_off");
+    CampaignConfig config = smallConfig(dir, "off.journal");
+    const CampaignResult off = runCampaign(config);
+    ASSERT_TRUE(off.status.ok()) << off.status.str();
+    ASSERT_EQ(off.done, config.cells.size());
+    const std::string offDoc = renderCampaignResults(config, off);
+
+    obs::Counter &hits = obs::counter("tracestore.cache.hits");
+    setTraceCacheDir(dir.file("cache"));
+    config.journalPath = dir.file("cold.journal");
+    const CampaignResult cold = runCampaign(config);
+    const uint64_t hitsAfterCold = hits.value();
+    config.journalPath = dir.file("warm.journal");
+    const CampaignResult warm = runCampaign(config);
+    const uint64_t warmHits = hits.value() - hitsAfterCold;
     setTraceCacheDir("");
 
-    ASSERT_TRUE(first.status.ok()) << first.status.str();
-    ASSERT_TRUE(second.status.ok()) << second.status.str();
-    ASSERT_EQ(first.done, 1u);
-    ASSERT_EQ(second.done, 1u);
-    // Same shard count -> same per-shard predictor warm-up -> same
-    // counters: the sharded path is deterministic too.
-    EXPECT_EQ(first.outcomes[0].result.instructions,
-              second.outcomes[0].result.instructions);
-    EXPECT_EQ(first.outcomes[0].result.predictions,
-              second.outcomes[0].result.predictions);
-    EXPECT_EQ(first.outcomes[0].result.mispredicts,
-              second.outcomes[0].result.mispredicts);
+    ASSERT_TRUE(cold.status.ok()) << cold.status.str();
+    ASSERT_TRUE(warm.status.ok()) << warm.status.str();
+    // Every warm cell replayed its trace from the cache.
+    EXPECT_EQ(warmHits, config.cells.size());
+    EXPECT_EQ(renderCampaignResults(config, cold), offDoc);
+    EXPECT_EQ(renderCampaignResults(config, warm), offDoc);
 }
 
 // ---------------------------------------------------------------------

@@ -115,7 +115,7 @@ class ServeTest : public ::testing::Test
   protected:
     void
     startServer(unsigned workers = 2, size_t queue_depth = 32,
-                unsigned max_batch = 8, uint32_t slow_ms = 0)
+                uint32_t slow_ms = 0)
     {
         scratch = std::make_unique<ScratchDir>(
             ::testing::UnitTest::GetInstance()
@@ -125,7 +125,6 @@ class ServeTest : public ::testing::Test
         config.socketPath = scratch->file("s.sock");
         config.workers = workers;
         config.queueDepth = queue_depth;
-        config.maxBatch = max_batch;
         config.traceCacheDir = scratch->file("cache");
         config.slowMs = slow_ms;
         server = std::make_unique<ServeServer>(std::move(config));
@@ -147,7 +146,6 @@ class ServeTest : public ::testing::Test
         config.socketPath = scratch->file("s.sock");
         config.workers = workers;
         config.queueDepth = queue_depth;
-        config.maxBatch = 8;
         config.traceCacheDir = scratch->file("cache");
         config.maxInflightCostMs = max_inflight_cost_ms;
         config.shedPolicy = shed_policy;
@@ -514,15 +512,14 @@ TEST_F(ServeTest, SimulateMatchesDirectRunBitForBit)
 
 TEST_F(ServeTest, ConcurrentClientsAllMatchDirectRuns)
 {
-    startServer(/*workers=*/3, /*queue_depth=*/64, /*max_batch=*/4);
+    startServer(/*workers=*/3, /*queue_depth=*/64);
     setTraceCacheDir(scratch->file("cache"));
     const DirectResult gshare = directRun("gshare");
     const DirectResult bimodal = directRun("bimodal");
 
     // N concurrent clients mixing two predictors over the same trace:
-    // the server batches same-slice requests into shared replay
-    // passes, and every reply must still be bit-identical to the
-    // direct run.
+    // workers replay the shared store concurrently, and every reply
+    // must still be bit-identical to the direct run.
     constexpr unsigned kClients = 6;
     constexpr unsigned kRequestsEach = 3;
     std::atomic<unsigned> failures{0};
@@ -1120,8 +1117,7 @@ TEST_F(ServeTest, DrainClosesManyIdleConnections)
 TEST_F(ServeTest, SlowRequestThresholdCountsCrossings)
 {
     // 1 ms threshold: a 120k-record simulate always crosses it.
-    startServer(/*workers=*/2, /*queue_depth=*/32, /*max_batch=*/8,
-                /*slow_ms=*/1);
+    startServer(/*workers=*/2, /*queue_depth=*/32, /*slow_ms=*/1);
     const uint64_t slowBefore = counterValue("serve.slow_requests");
 
     ServeClient client;
@@ -1155,10 +1151,9 @@ TEST_F(ServeTest, CancelShedsQueuedRequestBeforeExecution)
                     .ok());
     raw.send(frame);
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    // A different trace, so the queued victim can never be pulled
-    // into a shared replay batch with id 1.
-    ServeRequest queued = simulateRequest("bimodal");
-    queued.workload = "xz_like";
+    // The same trace slice as id 1: the victim is cancelled on its
+    // own.
+    const ServeRequest queued = simulateRequest("bimodal");
     ASSERT_TRUE(encodeFrame(MessageType::Simulate, 2,
                             encodeRequestPayload(queued), &frame)
                     .ok());
@@ -1258,7 +1253,6 @@ TEST_F(ServeTest, DeadlineSweepExpiresQueuedRequestBeforeWorkerTime)
     raw.send(frame);
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
     ServeRequest doomed = simulateRequest("bimodal");
-    doomed.workload = "xz_like";   // never batched with id 1
     doomed.deadlineMs = 1;
     ASSERT_TRUE(encodeFrame(MessageType::Simulate, 2,
                             encodeRequestPayload(doomed), &frame)
