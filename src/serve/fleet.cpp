@@ -1010,13 +1010,15 @@ FleetSupervisor::drain()
     drains.inc();
 
     // Phase 1: no new connections; the OS refuses further connect()s.
+    // shutdown() wakes the blocked accept(); the fd is closed and the
+    // field reset only once acceptLoop() can no longer read it.
     acceptingFlag.store(false);
     ::shutdown(listenFd, SHUT_RDWR);
+    if (acceptThread.joinable())
+        acceptThread.join();
     ::close(listenFd);
     listenFd = -1;
     ::unlink(cfg.socketPath.c_str());
-    if (acceptThread.joinable())
-        acceptThread.join();
 
     // Phase 2: stop supervising FIRST, so the SIGTERMs below are not
     // mistaken for crashes and answered with respawns — this is also

@@ -58,6 +58,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -159,6 +160,7 @@ class ServeServer
     struct Conn;
     struct Pending;
     struct PeerQueue;
+    struct FrontendMemo;
 
     // --- I/O side (io thread) ---
     void ioLoop();
@@ -211,11 +213,13 @@ class ServeServer
 
     /**
      * The open reader for (workload, input, instructions),
-     * materializing and publishing the trace first when cold.
+     * materializing and publishing the trace first when cold. When
+     * `frontend` is given it receives the entry's frontend memo.
      */
     std::shared_ptr<TraceStoreReader>
     ensureReader(const Workload &workload, const ServeRequest &request,
-                 Status *status);
+                 Status *status,
+                 std::shared_ptr<FrontendMemo> *frontend = nullptr);
 
     void dropReader(const std::string &digest);
 
@@ -267,10 +271,24 @@ class ServeServer
     std::atomic<uint64_t> costNsPerUnitX16[4];
     std::atomic<uint64_t> costSamples[4] = {};
 
+    /**
+     * One open trace's frontend target-class rows. They depend only
+     * on the trace, so the first BranchStats whose replay completes
+     * publishes them and later ones copy them instead of running the
+     * frontend model again.
+     */
+    struct FrontendMemo
+    {
+        std::mutex mu;
+        std::optional<std::vector<TargetClassStat>> rows;
+    };
+
     std::mutex readersMu;
     struct ReaderEntry
     {
         std::shared_ptr<TraceStoreReader> reader;
+        /// Dropped with the entry (LRU eviction, dropReader, stop).
+        std::shared_ptr<FrontendMemo> frontend;
         uint64_t lastUse = 0;
     };
     std::map<std::string, ReaderEntry> readers;   ///< digest -> entry

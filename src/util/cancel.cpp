@@ -22,8 +22,6 @@ cancelCauseName(CancelCause cause)
         return "signal";
       case CancelCause::Deadline:
         return "deadline";
-      case CancelCause::Watchdog:
-        return "watchdog";
     }
     return "unknown";
 }
@@ -53,9 +51,6 @@ CancelToken::check() const
         return Status();
       case CancelCause::Deadline:
         return Status::deadlineExceeded("deadline expired");
-      case CancelCause::Watchdog:
-        return Status::deadlineExceeded(
-            "watchdog detected stalled progress");
       default:
         return Status::cancelled(std::string("cancelled by ") +
                                  cancelCauseName(why));

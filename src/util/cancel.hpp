@@ -49,7 +49,6 @@ enum class CancelCause : uint8_t
     User,       ///< explicit requestCancel() call
     Signal,     ///< SIGINT/SIGTERM (via the global token)
     Deadline,   ///< armed deadline expired
-    Watchdog,   ///< a supervisor detected stalled progress
 };
 
 /** Stable human-readable name of a cause ("signal", "deadline", ...). */

@@ -99,7 +99,7 @@ TEST(CancelToken, FirstCauseWinsAndDeadlineLatches)
     EXPECT_TRUE(token.check().ok());
 
     token.requestCancel(CancelCause::User);
-    token.requestCancel(CancelCause::Watchdog);   // loses the race
+    token.requestCancel(CancelCause::Signal);     // loses the race
     EXPECT_TRUE(token.cancelled());
     EXPECT_EQ(token.cause(), CancelCause::User);
     EXPECT_EQ(token.check().code(), StatusCode::Cancelled);

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,15 +27,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "analysis/target_stats.hpp"
 #include "bp/factory.hpp"
 #include "bp/sim.hpp"
 #include "core/runner.hpp"
 #include "faultsim/faultsim.hpp"
+#include "frontend/frontend.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/fleet.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "trace/sink.hpp"
 #include "tracestore/chunk_cache.hpp"
 #include "util/json.hpp"
 #include "util/status.hpp"
@@ -107,6 +112,79 @@ directRun(const std::string &predictor)
     EXPECT_EQ(got, kTraceLen);
     return {sim.condExecs(), sim.condMispreds(),
             doubleBits(sim.accuracy())};
+}
+
+/** A whole-trace BranchStats request for the top `top_k` rows. */
+ServeRequest
+branchStatsRequest(const std::string &workload,
+                   const std::string &predictor, uint32_t top_k = 8)
+{
+    ServeRequest request;
+    request.type = MessageType::BranchStats;
+    request.workload = workload;
+    request.inputIdx = 0;
+    request.instructions = kTraceLen;
+    request.predictor = predictor;
+    request.topK = top_k;
+    return request;
+}
+
+/**
+ * The reply a BranchStats request should get, from one direct pass of
+ * a PredictorSim and a FrontendModel over a trace the VM executes.
+ */
+ServeReply
+directBranchStats(const ServeRequest &request)
+{
+    auto bp = makePredictor(request.predictor);
+    PredictorSim sim(*bp, /*collect_per_branch=*/true);
+    FrontendModel fe((FrontendConfig()));
+    FanoutSink fanout({&sim, &fe});
+    runTrace(findWorkload(request.workload).build(request.inputIdx),
+             {&fanout}, request.instructions);
+    ServeReply want;
+    want.delivered = sim.instructions();
+    want.condExecs = sim.condExecs();
+    want.condMispreds = sim.condMispreds();
+    for (const TargetClassRow &row : targetClassRows(fe))
+        want.targetClasses.push_back({static_cast<uint8_t>(row.cls),
+                                      row.execs, row.targetMispreds});
+    for (const auto &[ip, c] : sim.perBranch())
+        want.branches.push_back({ip, c.execs, c.mispreds, c.taken});
+    std::sort(want.branches.begin(), want.branches.end(),
+              [](const BranchRow &a, const BranchRow &b) {
+                  if (a.mispreds != b.mispreds)
+                      return a.mispreds > b.mispreds;
+                  return a.ip < b.ip;
+              });
+    if (want.branches.size() > request.topK)
+        want.branches.resize(request.topK);
+    return want;
+}
+
+void
+expectSameBranchStats(const ServeReply &got, const ServeReply &want)
+{
+    ASSERT_EQ(got.code, WireCode::Ok) << got.message;
+    EXPECT_EQ(got.delivered, want.delivered);
+    EXPECT_EQ(got.condExecs, want.condExecs);
+    EXPECT_EQ(got.condMispreds, want.condMispreds);
+    ASSERT_EQ(got.branches.size(), want.branches.size());
+    for (size_t i = 0; i < got.branches.size(); ++i) {
+        EXPECT_EQ(got.branches[i].ip, want.branches[i].ip) << i;
+        EXPECT_EQ(got.branches[i].execs, want.branches[i].execs) << i;
+        EXPECT_EQ(got.branches[i].mispreds, want.branches[i].mispreds)
+            << i;
+        EXPECT_EQ(got.branches[i].taken, want.branches[i].taken) << i;
+    }
+    ASSERT_EQ(got.targetClasses.size(), want.targetClasses.size());
+    for (size_t i = 0; i < got.targetClasses.size(); ++i) {
+        EXPECT_EQ(got.targetClasses[i].cls, want.targetClasses[i].cls);
+        EXPECT_EQ(got.targetClasses[i].execs,
+                  want.targetClasses[i].execs);
+        EXPECT_EQ(got.targetClasses[i].targetMispreds,
+                  want.targetClasses[i].targetMispreds);
+    }
 }
 
 /** Server + scratch corpus fixture. */
@@ -677,6 +755,137 @@ TEST_F(ServeTest, BranchStatsAndH2pReplies)
     // IPs arrive sorted ascending.
     for (size_t i = 1; i < reply.h2pIps.size(); ++i)
         EXPECT_LT(reply.h2pIps[i - 1], reply.h2pIps[i]);
+}
+
+TEST_F(ServeTest, FrontendMemoSweepMatchesDirectPasses)
+{
+    // The target-class rows depend only on the trace: the first
+    // BranchStats over it runs the frontend model, the other seven of
+    // a two-pass sweep copy its rows, and every reply still equals a
+    // direct sim + frontend pass of its own predictor.
+    startServer();
+    ServeClient client;
+    ASSERT_TRUE(client.connectUnix(socketPath()).ok());
+    std::vector<std::string> order = {"bimodal", "gshare", "local",
+                                      "perceptron"};
+    std::map<std::string, ServeReply> want;
+    for (const std::string &p : order)
+        want[p] = directBranchStats(branchStatsRequest("vcall", p));
+
+    const uint64_t hitsBefore = counterValue("serve.frontend_memo.hits");
+    const uint64_t missesBefore =
+        counterValue("serve.frontend_memo.misses");
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const std::string &p : order) {
+            ServeReply reply;
+            ASSERT_TRUE(
+                client.call(branchStatsRequest("vcall", p), &reply).ok());
+            SCOPED_TRACE("pass " + std::to_string(pass) + " " + p);
+            expectSameBranchStats(reply, want[p]);
+        }
+        std::reverse(order.begin(), order.end());
+    }
+    EXPECT_EQ(counterValue("serve.frontend_memo.misses"),
+              missesBefore + 1);
+    EXPECT_EQ(counterValue("serve.frontend_memo.hits"), hitsBefore + 7);
+}
+
+TEST_F(ServeTest, FrontendMemoIgnoresADeadlineCutPass)
+{
+    // A pass cut by its deadline must not publish a partial table:
+    // the next BranchStats on the still-cold memo recomputes it.
+    startServer();
+    ServeClient client;
+    ASSERT_TRUE(client.connectUnix(socketPath()).ok());
+    ServeReply reply;
+    // Open the reader through a Simulate, which leaves the memo cold.
+    ASSERT_TRUE(client.call(simulateRequest("gshare"), &reply).ok());
+    ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
+
+    const uint64_t hitsBefore = counterValue("serve.frontend_memo.hits");
+    const uint64_t missesBefore =
+        counterValue("serve.frontend_memo.misses");
+    ServeRequest cut = branchStatsRequest("mcf_like", "tage-sc-l-64KB");
+    cut.deadlineMs = 1;
+    ASSERT_TRUE(client.call(cut, &reply).ok());
+    EXPECT_EQ(reply.code, WireCode::DeadlineExceeded)
+        << wireCodeName(reply.code) << ": " << reply.message;
+
+    const ServeRequest request = branchStatsRequest("mcf_like", "gshare");
+    ASSERT_TRUE(client.call(request, &reply).ok());
+    expectSameBranchStats(reply, directBranchStats(request));
+    EXPECT_EQ(counterValue("serve.frontend_memo.hits"), hitsBefore);
+    EXPECT_GE(counterValue("serve.frontend_memo.misses"),
+              missesBefore + 1);
+}
+
+TEST_F(ServeTest, FrontendMemoIsRecomputedAfterAQuarantine)
+{
+    // The memo lives on the open-reader entry: a CorruptData
+    // quarantine drops the entry, so the next BranchStats over the
+    // regenerated trace runs the frontend model again.
+    startServer();
+    ServeClient client;
+    ASSERT_TRUE(client.connectUnix(socketPath()).ok());
+    ServeReply reply;
+    for (const char *p : {"gshare", "bimodal"}) {
+        ASSERT_TRUE(
+            client.call(branchStatsRequest("mcf_like", p), &reply).ok());
+        ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
+    }
+
+    ASSERT_TRUE(faultsim::configure("tracestore.read.bitflip").ok());
+    ASSERT_TRUE(client.call(simulateRequest("gshare"), &reply).ok());
+    EXPECT_EQ(reply.code, WireCode::CorruptData)
+        << wireCodeName(reply.code) << ": " << reply.message;
+    faultsim::reset();
+
+    const uint64_t missesBefore =
+        counterValue("serve.frontend_memo.misses");
+    const ServeRequest request = branchStatsRequest("mcf_like", "local");
+    ASSERT_TRUE(client.call(request, &reply).ok());
+    expectSameBranchStats(reply, directBranchStats(request));
+    EXPECT_EQ(counterValue("serve.frontend_memo.misses"),
+              missesBefore + 1);
+}
+
+TEST_F(ServeTest, ConcurrentBranchStatsShareOneMemo)
+{
+    // Four workers race on one cold memo: whichever publishes first,
+    // every reply is the same and equals the direct pass.
+    startServer(/*workers=*/4);
+    {
+        ServeClient client;
+        ASSERT_TRUE(client.connectUnix(socketPath()).ok());
+        ServeReply reply;
+        ASSERT_TRUE(client.call(simulateRequest("gshare"), &reply).ok());
+        ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
+    }
+    const ServeRequest request = branchStatsRequest("mcf_like", "gshare");
+    const ServeReply want = directBranchStats(request);
+    const uint64_t lookupsBefore =
+        counterValue("serve.frontend_memo.hits") +
+        counterValue("serve.frontend_memo.misses");
+
+    constexpr unsigned kClients = 4;
+    std::vector<ServeReply> replies(kClients);
+    std::vector<std::thread> threads;
+    for (unsigned c = 0; c < kClients; ++c) {
+        threads.emplace_back([&, c] {
+            ServeClient client;
+            if (client.connectUnix(socketPath()).ok())
+                client.call(request, &replies[c]);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (unsigned c = 0; c < kClients; ++c) {
+        SCOPED_TRACE("client " + std::to_string(c));
+        expectSameBranchStats(replies[c], want);
+    }
+    EXPECT_EQ(counterValue("serve.frontend_memo.hits") +
+                  counterValue("serve.frontend_memo.misses"),
+              lookupsBefore + kClients);
 }
 
 TEST_F(ServeTest, MaterializePublishesIntoTheCorpus)

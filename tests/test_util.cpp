@@ -6,21 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <deque>
 #include <filesystem>
 #include <set>
-#include <thread>
 
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "bp/factory.hpp"
-#include "bp/sim.hpp"
 #include "core/runner.hpp"
+#include "trace/sink.hpp"
 #include "util/bitops.hpp"
 #include "util/cancel.hpp"
 #include "util/signals.hpp"
@@ -727,8 +724,10 @@ TEST(Signals, SigtermDuringColdTraceGenerationDrainsPromptly)
 {
     // A supervisor's drain depends on cold trace generation honoring
     // the cancel token: SIGTERM mid-generation must cut the run short
-    // (fewer records than asked) instead of blocking the drain until
-    // the trace completes.
+    // (fewer records than asked) and publish no cache entry, instead
+    // of blocking the drain until the trace completes. The child
+    // raises the signal from a sink at a fixed record, so it always
+    // lands mid-generation however loaded the machine is.
     const std::string dir =
         std::string(::testing::TempDir()) + "bpnsp_sig_coldgen";
     std::filesystem::remove_all(dir);
@@ -739,29 +738,32 @@ TEST(Signals, SigtermDuringColdTraceGenerationDrainsPromptly)
     if (pid == 0) {
         signals::installGracefulDrain();
         setTraceCacheDir(dir);
-        const Workload workload = findWorkload("mcf_like");
-        // Fresh instruction counts keep every iteration a cold
-        // generation; the loop ends only via the token.
-        uint64_t instructions = 4000000;
-        while (!globalCancelToken().cancelled()) {
-            auto bp = makePredictor("gshare");
-            PredictorSim sim(*bp, /*collect_per_branch=*/false);
-            const uint64_t got = runWorkloadTrace(
-                workload, 0, {&sim}, instructions);
-            if (globalCancelToken().cancelled() &&
-                got >= instructions)
-                ::_exit(93);   // cancelled yet ran to completion
-            ++instructions;
-        }
+        constexpr uint64_t kInstructions = 4000000;
+        struct RaiseSigterm : TraceSink
+        {
+            uint64_t seen = 0;
+            void
+            onRecord(const TraceRecord &) override
+            {
+                if (++seen == kInstructions / 4)
+                    ::raise(SIGTERM);
+            }
+        } raiser;
+        const uint64_t got = runWorkloadTrace(
+            findWorkload("mcf_like"), 0, {&raiser}, kInstructions);
+        if (!globalCancelToken().cancelled())
+            ::_exit(94);   // the sink never reached the raise
+        if (got >= kInstructions)
+            ::_exit(93);   // cancelled yet ran to completion
         ::_exit(0);
     }
-    // Let the child get into a generation, then ask it to drain.
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    ASSERT_EQ(::kill(pid, SIGTERM), 0);
     int wstatus = 0;
     ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
     ASSERT_TRUE(WIFEXITED(wstatus));
     EXPECT_EQ(WEXITSTATUS(wstatus), 0);
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        EXPECT_NE(entry.path().extension(), ".bpt")
+            << "cancelled generation published " << entry.path();
     std::filesystem::remove_all(dir);
 }
 
