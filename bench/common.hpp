@@ -33,13 +33,10 @@ namespace bpnsp::bench {
 
 /**
  * Standard bench option set; returns the parsed scale factor. Also
- * configures the on-disk trace cache from --trace-cache (or the
- * BPNSP_TRACE_CACHE environment variable): with a cache directory set,
- * the first run of any harness records every workload trace and later
- * runs replay them from disk instead of re-executing the VM. Activates
- * the standard telemetry options too (--metrics-out writes a JSON run
- * report on exit, --progress prints an instr/sec heartbeat) and stamps
- * the effective scale into the run manifest.
+ * activates the standard telemetry options (--metrics-out writes a
+ * JSON run report on exit, --progress prints an instr/sec heartbeat)
+ * and fault injection (--faults), and stamps the effective scale into
+ * the run manifest.
  */
 inline double
 parseScale(OptionParser &opts, int argc, char **argv)
@@ -47,17 +44,9 @@ parseScale(OptionParser &opts, int argc, char **argv)
     opts.addDouble("scale", 1.0,
                    "multiply trace/slice sizes (also BPNSP_SCALE)");
     opts.addFlag("csv", "emit CSV instead of tables");
-    opts.addString("trace-cache", "",
-                   "trace store cache directory (also "
-                   "BPNSP_TRACE_CACHE); first run records traces, "
-                   "later runs replay them");
     opts.parse(argc, argv);
     obs::configureFromOptions(opts);
     faultsim::configureFromOptions(opts);
-    if (const std::string &dir = opts.getString("trace-cache");
-        !dir.empty()) {
-        setTraceCacheDir(dir);
-    }
     const double scale = opts.getDouble("scale") * experimentScale();
     obs::Registry::instance().setRunField("scale",
                                           std::to_string(scale));
@@ -84,9 +73,7 @@ banner(const std::string &what, const std::string &paper_ref)
 /**
  * Screen the H2P set of one workload input: run the baseline over the
  * trace, slice it, and take the union of per-slice H2P sets — the
- * paper's screening methodology. Goes through the shared
- * runWorkloadTrace path, so the screening pass replays from the trace
- * cache when one is configured.
+ * paper's screening methodology.
  */
 inline std::unordered_set<uint64_t>
 screenH2pSet(const Workload &workload, size_t input_idx,

@@ -67,6 +67,8 @@ main(int argc, char **argv)
     opts.addInt("workers", 4, "server worker threads");
     opts.addString("clients", "1,2,4,8",
                    "comma-separated client counts to sweep");
+    opts.addString("trace-cache", "/tmp/bpnsp-serve-bench-cache",
+                   "serve corpus directory");
     const double scale = parseScale(opts, argc, argv);
     const uint64_t instructions = static_cast<uint64_t>(
         static_cast<double>(opts.getInt("instructions")) * scale);
@@ -92,13 +94,9 @@ main(int argc, char **argv)
     if (levels.empty())
         fatal("--clients parsed to an empty sweep");
 
-    // Self-contained corpus + socket under /tmp; an explicit
-    // --trace-cache (via parseScale) reuses a real corpus instead.
-    std::string cacheDir = traceCacheDir();
-    if (cacheDir.empty()) {
-        cacheDir = "/tmp/bpnsp-serve-bench-cache";
-        setTraceCacheDir(cacheDir);
-    }
+    // Self-contained corpus + socket under /tmp by default; an
+    // explicit --trace-cache reuses a real corpus instead.
+    const std::string cacheDir = opts.getString("trace-cache");
     const std::string socketPath = "/tmp/bpnsp-serve-bench.sock";
     DecodedChunkCache::instance().setCapacityBytes(128ull * 1024 *
                                                    1024);

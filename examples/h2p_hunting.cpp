@@ -87,8 +87,8 @@ main(int argc, char **argv)
     const uint64_t target = ranked.front().ip;
     DependencyAnalyzer deps(target, 5000, 8);
     RegValueProfiler regs(target);
-    // Second pass over the same trace — with a trace cache configured
-    // this replays from disk instead of re-executing the VM.
+    // Second pass over the same trace: the VM is deterministic, so it
+    // delivers the same records again.
     runWorkloadTrace(w, 0, {&deps, &regs}, slice * slices);
 
     std::printf("Top heavy hitter 0x%llx:\n",

@@ -48,8 +48,7 @@ main(int argc, char **argv)
             std::make_unique<PredictorSim>(*predictors.back()));
         sinks.push_back(sims.back().get());
     }
-    // The shared workload path: replays from the on-disk trace cache
-    // when BPNSP_TRACE_CACHE is set, otherwise executes the VM.
+    // The shared workload path: one VM pass feeds every sink.
     runWorkloadTrace(workload, 0, sinks, instructions);
 
     TextTable table("Prediction accuracy on " + workload.name + " (" +

@@ -2,7 +2,7 @@
  * @file
  * Trace store tour: capture a workload execution into the compact
  * on-disk format and replay a slice of it by seeking through the
- * footer index. The raw building blocks behind --trace-cache.
+ * footer index. The raw building blocks of the serve corpus.
  *
  * Usage: trace_store [--workload=mcf_like] [--instructions=1000000]
  *                    [--path=/tmp/bpnsp_demo.bpt]

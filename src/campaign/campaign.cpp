@@ -84,8 +84,7 @@ elapsedMs(std::chrono::steady_clock::time_point since)
 /**
  * Execute one cell under the caller's (cell-scoped) cancel token: one
  * PredictorSim, warm over the whole budget, driven through
- * runWorkloadTrace (which routes through the trace cache when one is
- * configured).
+ * runWorkloadTrace.
  */
 Status
 executeCell(const CampaignCell &cell, CellResult *out)

@@ -31,8 +31,7 @@
  * predictors are seeded deterministically, and the results document
  * excludes wall-clock fields, so a campaign's results file is a pure
  * function of its spec. Each cell's predictor stays warm over the
- * whole budget, and the trace cache only changes where the records
- * come from, never which records a cell sees.
+ * whole budget.
  */
 
 #ifndef BPNSP_CAMPAIGN_CAMPAIGN_HPP

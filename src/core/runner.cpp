@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -13,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "tracestore/cache.hpp"
 #include "tracestore/store.hpp"
 #include "util/cancel.hpp"
 #include "util/logging.hpp"
@@ -32,9 +30,9 @@ namespace {
 class ProgressSink : public TraceSink
 {
   public:
-    explicit ProgressSink(const char *source)
-        : src(source), interval(obs::progressInterval()),
-          next(interval), begin(std::chrono::steady_clock::now())
+    ProgressSink()
+        : interval(obs::progressInterval()), next(interval),
+          begin(std::chrono::steady_clock::now())
     {
     }
 
@@ -57,7 +55,7 @@ class ProgressSink : public TraceSink
                 .count();
         char buf[128];
         std::snprintf(buf, sizeof(buf),
-                      "progress (%s): %.0fM instr, %.1fM instr/s", src,
+                      "progress (vm): %.0fM instr, %.1fM instr/s",
                       static_cast<double>(seen) / 1e6,
                       sec > 0.0
                           ? static_cast<double>(seen) / 1e6 / sec
@@ -65,7 +63,6 @@ class ProgressSink : public TraceSink
         inform(buf);
     }
 
-    const char *src;
     const uint64_t interval;
     uint64_t next;
     uint64_t seen = 0;
@@ -73,8 +70,8 @@ class ProgressSink : public TraceSink
 };
 
 /**
- * Pulse sink: invokes a callback every `interval` records. The cold
- * capture path uses one to refresh the generation lock's mtime
+ * Pulse sink: invokes a callback every `interval` records.
+ * captureTrace() uses one to refresh the generation lock's mtime
  * heartbeat, so a progressing recorder is distinguishable from a
  * wedged one (see TraceCacheLock::ttlMs()).
  */
@@ -128,7 +125,7 @@ runTrace(const Program &program, const std::vector<TraceSink *> &sinks,
     obs::Span span("vm.execute");
 
     FanoutSink fanout;
-    ProgressSink progress("vm");
+    ProgressSink progress;
     if (obs::progressInterval() > 0)
         fanout.add(&progress);
     for (TraceSink *sink : sinks)
@@ -157,113 +154,27 @@ runTrace(const Program &program, const std::vector<TraceSink *> &sinks,
     return executed;
 }
 
-// --- trace cache wiring ----------------------------------------------
+// --- workload runs and corpus capture --------------------------------
 
 namespace {
 
-std::mutex gCacheMutex;
-std::unique_ptr<TraceCache> gCache;
-bool gCacheConfigured = false;
-
-/** The configured cache, lazily falling back to BPNSP_TRACE_CACHE. */
-TraceCache *
-activeCache()
-{
-    std::lock_guard<std::mutex> lock(gCacheMutex);
-    if (!gCacheConfigured) {
-        gCacheConfigured = true;
-        if (const char *env = std::getenv("BPNSP_TRACE_CACHE");
-            env != nullptr && env[0] != '\0') {
-            gCache = std::make_unique<TraceCache>(env);
-        }
-    }
-    return gCache.get();
-}
-
-/**
- * Replay a cached entry into the sinks. Returns non-Ok if the entry is
- * unusable; the caller owns the loud quarantine-and-regenerate path,
- * so this stays silent on failure.
- *
- * The entry is verify()'d — every chunk checksummed, with transient
- * read faults absorbed by the reader's retry — *before* any record is
- * streamed. That ordering is what makes regeneration safe: a corrupt
- * entry is rejected while the sinks are still empty, so the live rerun
- * never double-counts a partial replay.
- */
-Status
-replayFromCache(const TraceCache &cache, const TraceCacheKey &key,
-                const std::vector<TraceSink *> &sinks,
-                uint64_t instructions)
-{
-    static obs::Counter &replayRuns =
-        obs::counter("core.runner.replay_runs");
-    static obs::Counter &delivered = obs::counter("run.instructions");
-    static obs::Histogram &replayNs =
-        obs::histogram("tracestore.replay_ns");
-
-    const std::string path = cache.entryPath(key);
-    Status st;
-    auto reader = TraceStoreReader::open(path, &st);
-    if (reader == nullptr)
-        return st;
-    if (reader->count() != instructions)
-        return Status::corruptData(
-            "holds " + std::to_string(reader->count()) +
-            " records, want " + std::to_string(instructions));
-    st = reader->verify();
-    if (!st.ok())
-        return st;
-
-    obs::ScopedTimer timer(replayNs);
-    obs::Span span("trace.replay");
-    FanoutSink fanout;
-    ProgressSink progress("replay");
-    if (obs::progressInterval() > 0)
-        fanout.add(&progress);
-    for (TraceSink *sink : sinks)
-        fanout.add(sink);
-    st = reader->replay(fanout, 0);
-    if (!st.ok()) {
-        if (st.code() == StatusCode::Cancelled ||
-            st.code() == StatusCode::DeadlineExceeded) {
-            // Cooperative cancellation mid-replay: the sinks saw a
-            // prefix, but the run is being abandoned, so nobody will
-            // consume their partial state. Report why and leave the
-            // (healthy) entry alone.
-            static obs::Counter &cancelledRuns =
-                obs::counter("core.runner.cancelled");
-            cancelledRuns.inc();
-            return st;
-        }
-        // verify() passed moments ago, so reaching here means the
-        // store changed under us mid-replay (active media failure or
-        // an adversarial fault spec that skips the verify pass). The
-        // sinks saw a partial stream, so regeneration would
-        // double-count — the only honest exit is loud.
-        fatal("trace cache replay failed mid-stream after a clean "
-              "verify: ", st.str());
-    }
-    replayRuns.inc();
-    delivered.add(instructions);
-    return Status();
-}
+std::mutex gCacheDirMutex;
+std::string gCacheDir;
 
 } // namespace
 
 void
 setTraceCacheDir(const std::string &dir)
 {
-    std::lock_guard<std::mutex> lock(gCacheMutex);
-    gCacheConfigured = true;
-    gCache = dir.empty() ? nullptr : std::make_unique<TraceCache>(dir);
+    std::lock_guard<std::mutex> lock(gCacheDirMutex);
+    gCacheDir = dir;
 }
 
 std::string
 traceCacheDir()
 {
-    TraceCache *cache = activeCache();
-    return cache != nullptr ? cache->dir() : std::string();
+    std::lock_guard<std::mutex> lock(gCacheDirMutex);
+    return gCacheDir;
 }
 
 uint64_t
@@ -271,11 +182,6 @@ runWorkloadTrace(const Workload &workload, size_t input_idx,
                  const std::vector<TraceSink *> &sinks,
                  uint64_t instructions)
 {
-    static obs::Counter &hits = obs::counter("tracestore.cache.hits");
-    static obs::Counter &misses =
-        obs::counter("tracestore.cache.misses");
-    static obs::Counter &degraded =
-        obs::counter("core.runner.degraded_runs");
     obs::Span span("run.workload_trace");
 
     // Run-manifest identity: the last workload executed describes the
@@ -286,53 +192,32 @@ runWorkloadTrace(const Workload &workload, size_t input_idx,
     reg.setRunField("input", workload.inputs.at(input_idx).label);
     reg.setRunField("instruction_budget", std::to_string(instructions));
 
-    TraceCache *cache = activeCache();
-    if (cache == nullptr)
-        return runTrace(workload.build(input_idx), sinks, instructions);
+    return runTrace(workload.build(input_idx), sinks, instructions);
+}
 
+Status
+captureTrace(const TraceCache &cache, const Workload &workload,
+             size_t input_idx, uint64_t instructions,
+             const std::vector<TraceSink *> &sinks)
+{
     const WorkloadInput &input = workload.inputs.at(input_idx);
     const TraceCacheKey key{workload.name, input.label, input.seed,
                             instructions};
-    if (cache->contains(key)) {
-        const Status why =
-            replayFromCache(*cache, key, sinks, instructions);
-        if (why.ok()) {
-            hits.inc();
-            return instructions;
-        }
-        if (why.code() == StatusCode::Cancelled ||
-            why.code() == StatusCode::DeadlineExceeded) {
-            // Abandoned, not broken: the run was cancelled during
-            // verify or replay. The delivered count is unspecified
-            // (sinks may hold a prefix); callers that care consult
-            // currentCancelToken() for the cause.
-            return 0;
-        }
-        // Self-healing: keep the bad entry as evidence, then fall
-        // through to the cold path, which regenerates it from the VM.
-        cache->quarantine(key, why.str());
-    }
-    misses.inc();
 
-    // Cold path. The generation lock keeps two processes from
-    // recording the same key at once; the loser runs uncached (a
-    // degraded run: correct results, cache benefit forfeited) instead
-    // of waiting on or interleaving with the winner.
-    Status lockStatus;
-    TraceCacheLock lock =
-        TraceCacheLock::acquire(*cache, key, &lockStatus);
-    if (!lock.held()) {
-        degraded.inc();
-        warn("trace cache generation skipped (", lockStatus.str(),
-             "); running uncached");
-        return runTrace(workload.build(input_idx), sinks, instructions);
-    }
+    // The generation lock keeps two processes from recording the same
+    // key at once; the loser answers Busy instead of waiting on or
+    // interleaving with the winner.
+    Status st;
+    TraceCacheLock lock = TraceCacheLock::acquire(cache, key, &st);
+    if (!lock.held())
+        return st;
+    if (cache.contains(key))
+        return Status();   // a peer published it before we got the lock
 
     // Execute the VM and record into a private staging file, then
     // publish atomically so a crash can never leave a partial entry.
-    const std::string staging = cache->stagingPath(key);
+    const std::string staging = cache.stagingPath(key);
     uint64_t executed = 0;
-    Status captureStatus;
     bool torn = false;
     {
         TraceStoreWriter writer(staging);
@@ -341,38 +226,28 @@ runWorkloadTrace(const Workload &workload, size_t input_idx,
         std::vector<TraceSink *> all(sinks);
         all.push_back(&writer);
         all.push_back(&heartbeat);
-        executed = runTrace(workload.build(input_idx), all,
-                            instructions);
-        captureStatus = writer.status();
+        executed = runWorkloadTrace(workload, input_idx, all,
+                                    instructions);
+        st = writer.status();
         torn = writer.crashed();
     }
-
-    // Capture failures never fail the run — the sinks already saw the
-    // full live stream; only the cache entry is lost.
-    if (executed == instructions && captureStatus.ok()) {
-        const Status pub = cache->publish(staging, key);
-        if (!pub.ok()) {
-            degraded.inc();
-            warn("cannot publish trace cache entry (", pub.str(),
-                 "); run results are unaffected");
-            std::error_code ec;
-            std::filesystem::remove(staging, ec);
-        }
-    } else {
-        if (!captureStatus.ok()) {
-            degraded.inc();
-            warn("trace capture failed (", captureStatus.str(),
-                 "); entry not cached, run results are unaffected");
-        }
-        // A simulated crash deliberately leaves its torn staging file
-        // behind (the "dead process" debris) so the constructor-time
-        // GC path stays exercised; every other failure cleans up.
-        if (!torn) {
-            std::error_code ec;
-            std::filesystem::remove(staging, ec);
-        }
+    if (st.ok() && executed != instructions) {
+        // runTrace stops short only when the cancel token fired.
+        st = currentCancelToken()->check();
+        if (st.ok())
+            st = Status::cancelled("trace capture stopped short");
     }
-    return executed;
+    if (st.ok())
+        st = cache.publish(staging, key);
+
+    // A simulated crash deliberately leaves its torn staging file
+    // behind (the "dead process" debris) so the constructor-time GC
+    // path stays exercised; every other failure cleans up.
+    if (!st.ok() && !torn) {
+        std::error_code ec;
+        std::filesystem::remove(staging, ec);
+    }
+    return st;
 }
 
 // --- characterization ------------------------------------------------

@@ -21,6 +21,8 @@
 #include "bp/predictor.hpp"
 #include "pipeline/core.hpp"
 #include "trace/sink.hpp"
+#include "tracestore/cache.hpp"
+#include "util/status.hpp"
 #include "vm/program.hpp"
 #include "workloads/workload.hpp"
 
@@ -45,35 +47,43 @@ uint64_t runTrace(const Program &program,
                   uint64_t instructions);
 
 /**
- * Configure the process-wide on-disk trace cache (see
- * tracestore/cache.hpp). An empty dir disables caching. When never
- * called, the BPNSP_TRACE_CACHE environment variable is consulted on
- * first use, so every binary supports caching without plumbing.
+ * Record the directory of the served trace corpus. Only the serve
+ * tools read it back (bpnsp_client --verify opens the corpus the
+ * server publishes into); no batch path consults it.
  */
 void setTraceCacheDir(const std::string &dir);
 
-/** The configured trace cache directory ("" when disabled). */
+/** The recorded corpus directory ("" when never set). */
 std::string traceCacheDir();
 
 /**
  * The canonical workload-execution path: stream one workload input's
- * trace into the sinks, exactly as runTrace(w.build(input_idx), ...)
- * would, but routed through the trace cache when one is configured —
- * the first run records the trace to disk, subsequent runs replay it
- * (bit-identical, no VM execution). Unusable cache entries (corrupt,
- * wrong length) are evicted and regenerated, never trusted.
- *
- * Cancellation: both the VM and replay paths poll
- * currentCancelToken(). A cancelled run returns fewer instructions
- * than requested (possibly 0 when cancelled mid-replay) and leaves
- * the sinks holding a partial stream the caller must discard; the
- * cache entry itself is never quarantined for a cancellation.
+ * trace into the sinks by running runTrace(w.build(input_idx), ...),
+ * after stamping the workload, input and budget into the run
+ * manifest. Cancellation behaves as in runTrace().
  *
  * @return instructions delivered.
  */
 uint64_t runWorkloadTrace(const Workload &workload, size_t input_idx,
                           const std::vector<TraceSink *> &sinks,
                           uint64_t instructions);
+
+/**
+ * Generate one workload input's trace into `cache` (the serve
+ * corpus): take the entry's generation lock, record a
+ * runWorkloadTrace() pass into a private staging file, and publish it
+ * atomically. `sinks` see the same live stream as the recorder.
+ *
+ * @return Ok once the entry is published (also when a peer published
+ *         it first); Busy when a live peer holds the generation lock;
+ *         Cancelled or DeadlineExceeded when the current cancel token
+ *         cut the pass short; the recorder's or the publisher's
+ *         error (IoError, or Cancelled for an injected crash) when
+ *         either failed. Nothing is published unless Ok.
+ */
+Status captureTrace(const TraceCache &cache, const Workload &workload,
+                    size_t input_idx, uint64_t instructions,
+                    const std::vector<TraceSink *> &sinks = {});
 
 /** Configuration of a characterization pass (Table I methodology). */
 struct CharacterizationConfig
@@ -137,7 +147,7 @@ IpcStudyResult runIpcStudy(
                           std::unique_ptr<BranchPredictor>>> predictors,
     const std::vector<unsigned> &scales, uint64_t instructions);
 
-/** The same study over a workload input, through the trace cache. */
+/** The same study over a workload input (runWorkloadTrace). */
 IpcStudyResult runIpcStudy(
     const Workload &workload, size_t input_idx,
     std::vector<std::pair<std::string,

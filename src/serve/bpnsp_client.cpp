@@ -501,8 +501,8 @@ main(int argc, char **argv)
     opts.addInt("retry-cap-ms", 1000, "retry backoff cap");
     opts.addFlag("verify",
                  "loadgen: check every Ok reply bit-for-bit against "
-                 "a direct in-process run (needs BPNSP_TRACE_CACHE "
-                 "or --trace-cache pointing at the server's corpus)");
+                 "a direct in-process run (needs --trace-cache "
+                 "pointing at the server's corpus)");
     opts.addString("trace-cache", "",
                    "trace corpus directory (verify mode)");
     opts.parse(argc, argv);
@@ -510,6 +510,8 @@ main(int argc, char **argv)
     if (const std::string &dir = opts.getString("trace-cache");
         !dir.empty())
         setTraceCacheDir(dir);
+    else if (opts.getFlag("verify"))
+        fatal("--verify needs --trace-cache: the server's corpus");
 
     const std::string op = opts.getString("op");
     if (op == "loadgen")

@@ -316,10 +316,6 @@ ServeServer::start()
         return Status::invalidArgument(
             "serve: socket path too long: " + cfg.socketPath);
 
-    // The server and the canonical runWorkloadTrace() cold path must
-    // agree on the corpus directory, or generated traces would publish
-    // somewhere the server never looks.
-    setTraceCacheDir(cfg.traceCacheDir);
     cache = std::make_unique<TraceCache>(cfg.traceCacheDir);
     workloadsCatalog = allWorkloads();
 
@@ -1422,7 +1418,9 @@ ServeServer::executeSimulate(const ServeRequest &request)
             PredictorSim sim(*predictor, /*collect_per_branch=*/false);
             {
                 obs::Span span("serve.replay");
-                st = reader->replayRange(request.first, count, sim);
+                st = settleReplay(
+                    *workload, request,
+                    reader->replayRange(request.first, count, sim));
             }
             if (st.ok()) {
                 sim.onEnd();   // flush sim deltas into the bp.* counters
@@ -1430,17 +1428,6 @@ ServeServer::executeSimulate(const ServeRequest &request)
                 reply.condExecs = sim.condExecs();
                 reply.condMispreds = sim.condMispreds();
                 reply.accuracyBits = doubleBits(sim.accuracy());
-            } else if (st.code() == StatusCode::CorruptData) {
-                // The store changed under us (or a fault spec fired):
-                // quarantine the entry so the next request regenerates
-                // it, and make sure the stale mmap is dropped.
-                const WorkloadInput &input =
-                    workload->inputs.at(request.inputIdx);
-                const TraceCacheKey key{workload->name, input.label,
-                                        input.seed,
-                                        request.instructions};
-                cache->quarantine(key, st.str());
-                dropReader(traceCacheDigest(key));
             }
         }
     }
@@ -1479,7 +1466,8 @@ ServeServer::executeBranchStats(const ServeRequest &request)
             }
             if (targets.has_value()) {
                 memoHits.inc();
-                st = reader->replay(sim, 0);
+                st = settleReplay(*workload, request,
+                                  reader->replay(sim, 0));
             } else {
                 memoMisses.inc();
                 // The frontend rides the same replay pass so the
@@ -1489,7 +1477,8 @@ ServeServer::executeBranchStats(const ServeRequest &request)
                 // the first publish wins.
                 FrontendModel fe((FrontendConfig()));
                 FanoutSink fanout({&sim, &fe});
-                st = reader->replay(fanout, 0);
+                st = settleReplay(*workload, request,
+                                  reader->replay(fanout, 0));
                 if (st.ok()) {
                     targets.emplace();
                     for (const TargetClassRow &row : targetClassRows(fe))
@@ -1553,7 +1542,8 @@ ServeServer::executeH2p(const ServeRequest &request)
             std::unique_ptr<BranchPredictor> predictor =
                 makePredictor(request.predictor);
             SlicedBranchStats stats(*predictor, sliceLen);
-            st = reader->replay(stats, 0);
+            st = settleReplay(*workload, request,
+                              reader->replay(stats, 0));
             if (st.ok()) {
                 const H2pCriteria criteria =
                     H2pCriteria{}.scaledTo(sliceLen);
@@ -1590,10 +1580,7 @@ ServeServer::executeMaterialize(const ServeRequest &request)
         std::shared_ptr<TraceStoreReader> reader =
             ensureReader(*workload, request, &st);
         if (st.ok()) {
-            const WorkloadInput &input =
-                workload->inputs.at(request.inputIdx);
-            const TraceCacheKey key{workload->name, input.label,
-                                    input.seed, request.instructions};
+            const TraceCacheKey key = corpusKey(*workload, request);
             reply.digest = traceCacheDigest(key);
             reply.records = reader->count();
             reply.path = cache->entryPath(key);
@@ -1785,9 +1772,7 @@ ServeServer::ensureReader(const Workload &workload,
         obs::counter("serve.generated_traces");
     static obs::Gauge &openReaders = obs::gauge("serve.open_readers");
 
-    const WorkloadInput &input = workload.inputs.at(request.inputIdx);
-    const TraceCacheKey key{workload.name, input.label, input.seed,
-                            request.instructions};
+    const TraceCacheKey key = corpusKey(workload, request);
     const std::string digest = traceCacheDigest(key);
 
     {
@@ -1829,22 +1814,13 @@ ServeServer::ensureReader(const Workload &workload,
     }
 
     if (!cache->contains(key)) {
-        // Cold trace: materialize through the canonical path, which
-        // records and atomically publishes. No sinks — this pass
-        // exists only to populate the corpus.
-        runWorkloadTrace(workload, request.inputIdx, {},
-                         request.instructions);
-        const Status cancelled = currentCancelToken()->check();
-        if (!cancelled.ok()) {
-            *status = cancelled;
-            return nullptr;
-        }
-        if (!cache->contains(key)) {
-            // Possible under cross-process lock contention: the run
-            // degraded to uncached and nothing was published.
-            *status = Status::busy(
-                "trace generation for " + digest +
-                " did not publish (concurrent generator?); retry");
+        // Cold trace: generate and publish it into the corpus. Busy (a
+        // peer process holds the generation lock), a cancellation or
+        // an I/O failure is this request's answer.
+        const Status captured = captureTrace(
+            *cache, workload, request.inputIdx, request.instructions);
+        if (!captured.ok()) {
+            *status = captured;
             return nullptr;
         }
         generated.inc();
@@ -1900,6 +1876,30 @@ ServeServer::ensureReader(const Workload &workload,
     }
     *status = Status();
     return shared;
+}
+
+TraceCacheKey
+ServeServer::corpusKey(const Workload &workload,
+                       const ServeRequest &request)
+{
+    const WorkloadInput &input = workload.inputs.at(request.inputIdx);
+    return TraceCacheKey{workload.name, input.label, input.seed,
+                         request.instructions};
+}
+
+Status
+ServeServer::settleReplay(const Workload &workload,
+                          const ServeRequest &request, Status st)
+{
+    if (st.code() == StatusCode::CorruptData) {
+        // The store changed under us (or a fault spec fired):
+        // quarantine the entry so the next request regenerates it, and
+        // drop the stale mmap with its frontend memo.
+        const TraceCacheKey key = corpusKey(workload, request);
+        cache->quarantine(key, st.str());
+        dropReader(traceCacheDigest(key));
+    }
+    return st;
 }
 
 void

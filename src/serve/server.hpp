@@ -39,10 +39,15 @@
  *    deliberately *not* to the process-global signal token, so a
  *    SIGTERM drain lets in-flight requests finish while the listener
  *    is already closed. stop() fires the stop token for a hard cut.
- *  - Cold traces are materialized on demand through the canonical
- *    runWorkloadTrace() path (recorded + atomically published to the
- *    on-disk cache), serialized per digest so concurrent requests for
- *    the same cold trace generate it once.
+ *  - Cold traces are generated on demand by captureTrace()
+ *    (core/runner.hpp): one VM pass recorded into a staging file and
+ *    published atomically into the corpus, serialized per digest so
+ *    concurrent requests for the same cold trace generate it once.
+ *    Busy (a peer process holds the generation lock), a cancellation
+ *    or an I/O failure becomes the request's reply.
+ *  - A replay that hits CorruptData part-way quarantines the entry and
+ *    drops its reader, whatever the op, so the next request
+ *    regenerates the trace (settleReplay).
  *
  * Thread-safety: start(), drain(), and stop() are for the owning
  * thread; everything else is internal.
@@ -222,6 +227,19 @@ class ServeServer
                  std::shared_ptr<FrontendMemo> *frontend = nullptr);
 
     void dropReader(const std::string &digest);
+
+    /** The corpus key a request's trace is stored under. */
+    static TraceCacheKey corpusKey(const Workload &workload,
+                                   const ServeRequest &request);
+
+    /**
+     * Every op's replay-error policy: CorruptData quarantines the
+     * entry and drops its reader, so the next request regenerates the
+     * trace; a cancellation or deadline leaves the entry alone.
+     * Returns `st`.
+     */
+    Status settleReplay(const Workload &workload,
+                        const ServeRequest &request, Status st);
 
     ServeConfig cfg;
     bool started = false;

@@ -4,8 +4,7 @@
  * seeded micro-ISA program populations from them.
  *
  * Modes (--mode):
- *   fit        Stream a workload input's trace (through the trace
- *              cache when configured) and write a
+ *   fit        Run a workload input's trace and write a
  *              bpnsp-synth-profile-v1 JSON document.
  *   generate   Resolve a profile and print the workload name(s) and
  *              program digest(s) for --seed, or for the population
@@ -224,15 +223,9 @@ main(int argc, char **argv)
     opts.addDouble("max-taken-tvd", 0.35,
                    "validation tolerance on the taken-rate "
                    "distribution distance (validate)");
-    opts.addString("trace-cache", "",
-                   "trace cache directory (also BPNSP_TRACE_CACHE)");
     opts.parse(argc, argv);
     obs::configureFromOptions(opts);
     faultsim::configureFromOptions(opts);
-
-    if (const std::string &dir = opts.getString("trace-cache");
-        !dir.empty())
-        setTraceCacheDir(dir);
 
     const std::string &mode = opts.getString("mode");
     if (mode == "fit")

@@ -91,9 +91,8 @@ class ProfileFitter : public TraceSink
 double conditionalEntropy(const uint32_t ctx[16][2]);
 
 /**
- * Fit one workload input end to end: stream `instructions` through
- * the trace cache (replayed when cached, VM-executed otherwise) into
- * a fitter and return the profile. Bumps synth.profiles_fitted /
+ * Fit one workload input end to end: stream `instructions` of its
+ * VM-executed trace into a fitter and return the profile. Bumps synth.profiles_fitted /
  * synth.branches_fitted.
  */
 SynthProfile fitWorkloadProfile(const Workload &workload,

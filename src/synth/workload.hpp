@@ -14,7 +14,7 @@
  * BPNSP_SYNTH_PROFILES (resolved as <dir>/<ref>.json). The seed is
  * decimal. Since a generated program is a pure function of
  * (profile document, seed), a synth name identifies one exact trace,
- * which is what makes it safe as a trace-cache key and as a
+ * which is what makes it safe as a serve-corpus key and as a
  * campaign-cell coordinate.
  */
 

@@ -339,8 +339,8 @@ TraceCacheLock::acquire(const TraceCache &cache,
         if (owner > 0 && processAlive(static_cast<pid_t>(owner))) {
             // Live owner: honor the lock while its heartbeat is
             // fresh. Past the TTL the holder is presumed wedged —
-            // a pid that never exits would otherwise force every
-            // future run of this key to degrade-to-uncached.
+            // a pid that never exits would otherwise make every
+            // future capture of this key answer Busy.
             const uint64_t ttl = ttlMs();
             const uint64_t age = lockAgeMs(path);
             if (attempt == 0 && ttl > 0 && age > ttl) {

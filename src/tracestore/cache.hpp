@@ -1,9 +1,9 @@
 /**
  * @file
  * Content-addressed trace cache: maps (workload, input, scale, format
- * version) to a trace store file on disk, so trace generation — the
- * dominant cost of every bench sweep — is paid once and replayed
- * thereafter.
+ * version) to a trace store file on disk. It holds the serve corpus,
+ * whose entries captureTrace() (core/runner.hpp) generates; batch runs
+ * execute the VM instead, which is cheaper than a replay.
  *
  * Crash-safety and concurrency contract:
  *  - Entries are published with write-to-temp + fsync + atomic rename
@@ -14,8 +14,8 @@
  *  - Construction garbage-collects debris of crashed runs: staging
  *    files and generation lockfiles whose owning process is dead.
  *  - A per-entry generation lockfile (TraceCacheLock) serializes cold
- *    generation of the same key across processes; losers degrade to an
- *    uncached run instead of interleaving writes.
+ *    generation of the same key across processes; losers get Busy
+ *    instead of interleaving writes.
  *  - Unusable entries are *quarantined* (renamed aside, bounded count)
  *    rather than silently deleted, preserving the evidence while the
  *    key regenerates.
@@ -86,9 +86,6 @@ class TraceCache
     Status publish(const std::string &staging,
                    const TraceCacheKey &key) const;
 
-    /** Delete the entry for `key` if present. */
-    void evict(const TraceCacheKey &key) const;
-
     /**
      * Move an unusable entry (truncated, corrupt, wrong length) aside
      * to a numbered .quarantine file instead of deleting it, so the
@@ -110,6 +107,9 @@ class TraceCache
     std::string root;
 
     void collectOrphans() const;
+
+    /** Delete the entry for `key` if present. */
+    void evict(const TraceCacheKey &key) const;
 };
 
 /**
@@ -117,14 +117,14 @@ class TraceCache
  * lockfile holding the owner pid; stale locks of dead processes are
  * broken automatically (tracestore.cache.stale_locks_broken). On
  * Busy — a live process is already generating this entry — the caller
- * should degrade to an uncached run rather than wait or interleave.
+ * reports Busy rather than wait or interleave.
  *
  * Live-but-wedged holders are handled by an mtime heartbeat: the
- * holder touch()es its lockfile while making progress (the runner's
- * capture path pulses it from the record stream), and acquire()
- * treats a lock whose mtime is older than the TTL as abandoned even
- * when its owner pid is still alive — a hung generator must not force
- * every future run of that key to degrade-to-uncached forever
+ * holder touch()es its lockfile while making progress (captureTrace
+ * pulses it from the record stream), and acquire() treats a lock
+ * whose mtime is older than the TTL as abandoned even when its owner
+ * pid is still alive — a hung generator must not make every future
+ * capture of that key answer Busy forever
  * (tracestore.cache.lock_takeovers counts these).
  */
 class TraceCacheLock

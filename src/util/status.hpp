@@ -8,7 +8,7 @@
  * be regenerated, a lock held by a concurrent run, an injected I/O
  * fault. Carrying the category in-band (instead of a bare diagnostic
  * string) lets callers branch on *what went wrong*: CorruptData
- * quarantines and regenerates, Busy degrades to an uncached run,
+ * quarantines and regenerates, Busy tells the client to retry later,
  * IoError retries with backoff.
  *
  * The taxonomy is deliberately small:
@@ -17,7 +17,7 @@
  *  - CorruptData  — bytes were read but fail validation (bad magic,
  *                   checksum mismatch, index inconsistency).
  *  - Busy         — a concurrent holder owns the resource (generation
- *                   lockfile); retry later or degrade.
+ *                   lockfile); retry later.
  *  - Cancelled    — the operation was abandoned mid-flight (injected
  *                   crash, writer already failed, cooperative
  *                   cancellation via util/cancel.hpp).

@@ -425,36 +425,6 @@ TEST(Campaign, SpecDigestIsStableAcrossVersions)
     EXPECT_EQ(campaignSpecDigest(config), "7d18623b5b12bb28");
 }
 
-TEST(Campaign, ResultsMatchWithTraceCacheOffColdAndWarm)
-{
-    // The trace cache only changes where a cell's records come from,
-    // never which records it sees, so the results document must not
-    // move with it.
-    ScratchDir dir("cache_on_off");
-    CampaignConfig config = smallConfig(dir, "off.journal");
-    const CampaignResult off = runCampaign(config);
-    ASSERT_TRUE(off.status.ok()) << off.status.str();
-    ASSERT_EQ(off.done, config.cells.size());
-    const std::string offDoc = renderCampaignResults(config, off);
-
-    obs::Counter &hits = obs::counter("tracestore.cache.hits");
-    setTraceCacheDir(dir.file("cache"));
-    config.journalPath = dir.file("cold.journal");
-    const CampaignResult cold = runCampaign(config);
-    const uint64_t hitsAfterCold = hits.value();
-    config.journalPath = dir.file("warm.journal");
-    const CampaignResult warm = runCampaign(config);
-    const uint64_t warmHits = hits.value() - hitsAfterCold;
-    setTraceCacheDir("");
-
-    ASSERT_TRUE(cold.status.ok()) << cold.status.str();
-    ASSERT_TRUE(warm.status.ok()) << warm.status.str();
-    // Every warm cell replayed its trace from the cache.
-    EXPECT_EQ(warmHits, config.cells.size());
-    EXPECT_EQ(renderCampaignResults(config, cold), offDoc);
-    EXPECT_EQ(renderCampaignResults(config, warm), offDoc);
-}
-
 // ---------------------------------------------------------------------
 // Frontend axis.
 

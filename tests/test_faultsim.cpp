@@ -4,8 +4,8 @@
  * it exists to prove: spec grammar, deterministic failure schedules,
  * writer degradation under injected I/O faults, retry-absorbed and
  * persistent read corruption, and the end-to-end acceptance campaign —
- * a workload run that survives an injected mid-generation crash, an
- * ENOSPC, and a bit-flipped cached chunk with bit-identical results.
+ * trace capture that survives an injected mid-capture crash, an
+ * ENOSPC, and a bit-flipped stored chunk with bit-identical results.
  *
  * Every test resets faultsim state on entry and exit, so test order
  * cannot leak an active spec into unrelated tests.
@@ -316,70 +316,100 @@ TEST_F(FaultCampaign, SurvivesCrashEnospcAndBitflipBitIdentically)
     const std::string dir =
         std::string(::testing::TempDir()) + "bpnsp_fault_campaign";
     std::filesystem::remove_all(dir);
-    setTraceCacheDir(dir);
     const Workload w = findWorkload("mcf_like");
     constexpr uint64_t kInstructions = 20000;
     const TraceCacheKey key{w.name, w.inputs[0].label, w.inputs[0].seed,
                             kInstructions};
     TraceCache cache(dir);
 
-    // The fault-free reference: digest and mispredict count.
-    const auto campaignRun = [&]() {
+    // Digest and mispredict count of whatever drives the sinks.
+    const auto answerOf = [&](const auto &drive) {
         DigestSink digest;
         auto bp = makePredictor("tage-sc-l-8KB");
         PredictorSim sim(*bp, /*collect_per_branch=*/false);
-        EXPECT_EQ(runWorkloadTrace(w, 0, {&digest, &sim},
-                                   kInstructions),
-                  kInstructions);
+        drive(std::vector<TraceSink *>{&digest, &sim});
         return std::make_pair(digest.digest(), sim.condMispreds());
     };
-    const auto reference = campaignRun();
-    cache.evict(key);
+    // The fault-free reference: a VM pass.
+    const auto reference = answerOf([&](const auto &sinks) {
+        EXPECT_EQ(runWorkloadTrace(w, 0, sinks, kInstructions),
+                  kInstructions);
+    });
+    // A capture: its live stream must match whether or not it
+    // publishes.
+    const auto capture = [&](Status *st) {
+        return answerOf([&](const auto &sinks) {
+            *st = captureTrace(cache, w, 0, kInstructions, sinks);
+        });
+    };
+    // A replay of the published entry, verified first like serve's
+    // cold open.
+    const auto replay = [&](Status *st) {
+        return answerOf([&](const auto &sinks) {
+            auto reader = TraceStoreReader::open(cache.entryPath(key), st);
+            if (reader == nullptr)
+                return;
+            *st = reader->verify();
+            if (st->ok()) {
+                FanoutSink fanout(sinks);
+                *st = reader->replay(fanout, 0);
+            }
+        });
+    };
 
-    // Leg 1 — crash mid-generation (the capture makes ~5 writes:
-    // header, chunk frame, payload, footer, trailer; skip 2 tears the
-    // payload): the run completes with identical results, but no
-    // entry is published — only torn debris.
+    // Leg 1 — crash mid-capture (the capture makes ~5 writes: header,
+    // chunk frame, payload, footer, trailer; skip 2 tears the
+    // payload): the live stream is intact, but no entry is published
+    // — only torn debris.
+    Status st;
     ASSERT_TRUE(
         faultsim::configure("seed=17,tracestore.write.crash+2*1").ok());
-    EXPECT_EQ(campaignRun(), reference);
+    EXPECT_EQ(capture(&st), reference);
+    EXPECT_FALSE(st.ok());
     EXPECT_FALSE(cache.contains(key));
 
     // Leg 2 — ENOSPC during capture: same deal.
     ASSERT_TRUE(
         faultsim::configure("seed=17,tracestore.write.enospc+3*1")
             .ok());
-    EXPECT_EQ(campaignRun(), reference);
+    EXPECT_EQ(capture(&st), reference);
+    EXPECT_EQ(st.code(), StatusCode::IoError) << st.str();
     EXPECT_FALSE(cache.contains(key));
 
-    // Leg 3 — clean cold run publishes the entry.
+    // Leg 3 — a clean capture publishes the entry, and it replays
+    // bit-identically.
     faultsim::reset();
-    EXPECT_EQ(campaignRun(), reference);
+    EXPECT_EQ(capture(&st), reference);
+    ASSERT_TRUE(st.ok()) << st.str();
     ASSERT_TRUE(cache.contains(key));
+    EXPECT_EQ(replay(&st), reference);
+    EXPECT_TRUE(st.ok()) << st.str();
 
-    // Leg 4 — a persistently bit-flipped cached chunk: verify rejects
-    // the entry before any record reaches the sinks, the entry is
-    // quarantined and regenerated from the VM, and the results stay
-    // bit-identical.
+    // Leg 4 — a persistently bit-flipped chunk: verify rejects the
+    // entry before any record reaches the sinks, the entry is
+    // quarantined, and a fresh capture regenerates it.
     const uint64_t quarantinedBefore =
         counterValue("tracestore.cache.quarantined");
     ASSERT_TRUE(
         faultsim::configure("seed=23,tracestore.read.bitflip*3").ok());
-    EXPECT_EQ(campaignRun(), reference);
+    EXPECT_EQ(replay(&st).second, 0u);
+    ASSERT_EQ(st.code(), StatusCode::CorruptData) << st.str();
+    cache.quarantine(key, st.str());
     EXPECT_EQ(counterValue("tracestore.cache.quarantined"),
               quarantinedBefore + 1);
+    EXPECT_EQ(capture(&st), reference);
     EXPECT_TRUE(cache.contains(key))
-        << "quarantine must regenerate the entry";
+        << "a capture after the quarantine must regenerate the entry";
 
     // Leg 5 — faults off again: the regenerated entry replays clean.
     faultsim::reset();
-    EXPECT_EQ(campaignRun(), reference);
+    EXPECT_EQ(replay(&st), reference);
+    EXPECT_TRUE(st.ok()) << st.str();
 
     // The whole ordeal is visible in the run-report counters.
     EXPECT_GE(counterValue("faultsim.injected"), 5u);
     EXPECT_GE(counterValue("tracestore.replay.chunk_retries"), 1u);
 
-    setTraceCacheDir("");
     std::filesystem::remove_all(dir);
 }
 

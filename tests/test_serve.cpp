@@ -27,6 +27,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "analysis/branch_stats.hpp"
+#include "analysis/h2p.hpp"
 #include "analysis/target_stats.hpp"
 #include "bp/factory.hpp"
 #include "bp/sim.hpp"
@@ -185,6 +187,25 @@ expectSameBranchStats(const ServeReply &got, const ServeReply &want)
         EXPECT_EQ(got.targetClasses[i].targetMispreds,
                   want.targetClasses[i].targetMispreds);
     }
+}
+
+/** The reply an H2p request should get, from a direct VM pass. */
+ServeReply
+directH2p(const ServeRequest &request)
+{
+    auto bp = makePredictor(request.predictor);
+    SlicedBranchStats stats(*bp, request.sliceLength);
+    runTrace(findWorkload(request.workload).build(request.inputIdx),
+             {&stats}, request.instructions);
+    const H2pSummary summary = summarizeH2ps(
+        stats, H2pCriteria{}.scaledTo(request.sliceLength));
+    ServeReply want;
+    want.h2pIps.assign(summary.allH2ps.begin(), summary.allH2ps.end());
+    std::sort(want.h2pIps.begin(), want.h2pIps.end());
+    want.slices = stats.slices().size();
+    want.avgPerSliceBits = doubleBits(summary.avgPerSlice);
+    want.avgMispredFractionBits = doubleBits(summary.avgMispredFraction);
+    return want;
 }
 
 /** Server + scratch corpus fixture. */
@@ -565,9 +586,7 @@ TEST_F(ServeTest, PingAndServerInfo)
 TEST_F(ServeTest, SimulateMatchesDirectRunBitForBit)
 {
     startServer();
-    // Expected values from the canonical in-process path, through the
-    // same trace cache directory the server serves from.
-    setTraceCacheDir(scratch->file("cache"));
+    // Expected values from the canonical in-process VM path.
     const DirectResult gshare = directRun("gshare");
     const DirectResult bimodal = directRun("bimodal");
 
@@ -591,7 +610,6 @@ TEST_F(ServeTest, SimulateMatchesDirectRunBitForBit)
 TEST_F(ServeTest, ConcurrentClientsAllMatchDirectRuns)
 {
     startServer(/*workers=*/3, /*queue_depth=*/64);
-    setTraceCacheDir(scratch->file("cache"));
     const DirectResult gshare = directRun("gshare");
     const DirectResult bimodal = directRun("bimodal");
 
@@ -641,9 +659,8 @@ TEST_F(ServeTest, ConcurrentClientsAllMatchDirectRuns)
 TEST_F(ServeTest, SlicedSimulateMatchesDirectSlice)
 {
     startServer();
-    setTraceCacheDir(scratch->file("cache"));
-    // Materialize, then compute the expected slice result directly.
-    directRun("gshare");
+    // The request materializes the trace; the expected slice result
+    // comes from a direct replay of the published entry.
     const Workload workload = findWorkload("mcf_like");
     const uint64_t first = 30000, count = 50000;
 
@@ -849,6 +866,72 @@ TEST_F(ServeTest, FrontendMemoIsRecomputedAfterAQuarantine)
               missesBefore + 1);
 }
 
+TEST_F(ServeTest, MidReplayCorruptionQuarantinesForEveryOp)
+{
+    // One flipped byte in the middle of a served trace: the first
+    // request of either op to replay it answers CORRUPT_DATA and
+    // quarantines the entry, and the next regenerates the trace and
+    // answers exactly what a direct VM pass gives.
+    ServeRequest h2p = branchStatsRequest("mcf_like", "tage-sc-l-8KB");
+    h2p.type = MessageType::H2p;
+    h2p.sliceLength = 30000;
+    for (const ServeRequest &request :
+         {branchStatsRequest("mcf_like", "gshare"), h2p}) {
+        SCOPED_TRACE(messageTypeName(request.type));
+        startServer();   // a fresh server over a fresh corpus
+        ServeClient client;
+        ASSERT_TRUE(client.connectUnix(socketPath()).ok());
+        ServeRequest materialize = request;
+        materialize.type = MessageType::Materialize;
+        ServeReply reply;
+        ASSERT_TRUE(client.call(materialize, &reply).ok());
+        ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
+        const std::string entry = reply.path;
+        const std::string evidence =
+            scratch->file("cache/" + reply.digest + ".quarantine.0");
+        {
+            std::FILE *f = std::fopen(entry.c_str(), "rb+");
+            ASSERT_NE(f, nullptr);
+            const long offset = static_cast<long>(
+                std::filesystem::file_size(entry) / 4);
+            std::fseek(f, offset, SEEK_SET);
+            const int byte = std::fgetc(f);
+            std::fseek(f, offset, SEEK_SET);
+            std::fputc(byte ^ 0x10, f);
+            std::fclose(f);
+        }
+
+        const uint64_t quarantinedBefore =
+            counterValue("tracestore.cache.quarantined");
+        const uint64_t generatedBefore =
+            counterValue("serve.generated_traces");
+        ASSERT_TRUE(client.call(request, &reply).ok());
+        EXPECT_EQ(reply.code, WireCode::CorruptData)
+            << wireCodeName(reply.code) << ": " << reply.message;
+        EXPECT_EQ(counterValue("tracestore.cache.quarantined"),
+                  quarantinedBefore + 1);
+        EXPECT_TRUE(std::filesystem::exists(evidence));
+
+        ASSERT_TRUE(client.call(request, &reply).ok());
+        EXPECT_EQ(counterValue("serve.generated_traces"),
+                  generatedBefore + 1);
+        if (request.type == MessageType::BranchStats) {
+            expectSameBranchStats(reply, directBranchStats(request));
+        } else {
+            ASSERT_EQ(reply.code, WireCode::Ok) << reply.message;
+            const ServeReply want = directH2p(request);
+            EXPECT_EQ(reply.h2pIps, want.h2pIps);
+            EXPECT_EQ(reply.slices, want.slices);
+            EXPECT_EQ(reply.avgPerSliceBits, want.avgPerSliceBits);
+            EXPECT_EQ(reply.avgMispredFractionBits,
+                      want.avgMispredFractionBits);
+        }
+        server->stop();
+        server.reset();
+        scratch.reset();
+    }
+}
+
 TEST_F(ServeTest, ConcurrentBranchStatsShareOneMemo)
 {
     // Four workers race on one cold memo: whichever publishes first,
@@ -940,8 +1023,10 @@ TEST_F(ServeTest, BackpressureRejectsWithResourceExhausted)
 TEST_F(ServeTest, DeadlineExceededOnSlowRequest)
 {
     startServer();
-    setTraceCacheDir(scratch->file("cache"));
-    directRun("gshare");   // materialize so the deadline hits replay
+    // Materialize first so the deadline hits the replay.
+    ASSERT_TRUE(captureTrace(TraceCache(scratch->file("cache")),
+                             findWorkload("mcf_like"), 0, kTraceLen)
+                    .ok());
 
     ServeClient client;
     ASSERT_TRUE(client.connectUnix(socketPath()).ok());
@@ -1103,6 +1188,7 @@ TEST_F(ServeTest, DrainFinishesInFlightThenRefusesNewConnections)
 TEST_F(ServeTest, LoadGenClosedLoopWithKillsAndVerify)
 {
     startServer(/*workers=*/3);
+    // --verify replays the server's corpus directly.
     setTraceCacheDir(scratch->file("cache"));
     LoadGenConfig cfg;
     cfg.socketPath = socketPath();
@@ -2169,8 +2255,11 @@ class FleetTest : public ::testing::Test
 TEST_F(FleetTest, RoutesVerifiedRequestsAcrossWorkers)
 {
     startFleet(2);
-    setTraceCacheDir(scratch->file("cache"));
     const DirectResult expect = directRun("gshare");
+    // Fill the corpus first, so the routed request replays it.
+    ASSERT_TRUE(captureTrace(TraceCache(scratch->file("cache")),
+                             findWorkload("mcf_like"), 0, kTraceLen)
+                    .ok());
 
     ServeClient client;
     ASSERT_TRUE(
@@ -2193,7 +2282,6 @@ TEST_F(FleetTest, RoutesVerifiedRequestsAcrossWorkers)
         EXPECT_EQ(row.state, ShardHealth::Ready);
         EXPECT_NE(row.pid, 0u);
     }
-    setTraceCacheDir("");
 }
 
 TEST_F(FleetTest, KilledWorkerIsRespawnedAndRequestsRideItOut)

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the content-addressed trace cache and its runner wiring:
- * digest stability, cold-run population, warm-run bit-identical replay
- * (proven by planting a distinctive store under the key), stale-key
- * misses on scale changes, and graceful fallback on unusable entries.
+ * Tests for the content-addressed trace cache and captureTrace(), the
+ * serve corpus's generation path: digest stability, capture
+ * publication, bit-identity of a captured entry's replay with a VM
+ * pass, stale-key misses on scale changes, orphan GC, and the
+ * generation lock.
  */
 
 #include <gtest/gtest.h>
@@ -11,13 +12,18 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "bp/factory.hpp"
+#include "bp/sim.hpp"
 #include "core/runner.hpp"
 #include "obs/metrics.hpp"
+#include "synth/fitter.hpp"
+#include "synth/workload.hpp"
 #include "tracestore/cache.hpp"
 #include "tracestore/format.hpp"
 #include "tracestore/store.hpp"
@@ -37,20 +43,31 @@ class CacheDirGuard
         : path(std::string(::testing::TempDir()) + "bpnsp_cache_" + tag)
     {
         std::filesystem::remove_all(path);
-        setTraceCacheDir(path);
     }
 
     ~CacheDirGuard()
     {
-        // Unhook the process-wide cache before deleting the directory
-        // so later tests start from a clean, explicit state.
-        setTraceCacheDir("");
         std::error_code ec;
         std::filesystem::remove_all(path, ec);
     }
 
     const std::string path;
 };
+
+/**
+ * Feed `drive` a DigestSink + TAGE-SC-L 8KB sim; returns the record
+ * digest, the record count and the mispredict count.
+ */
+template <typename Drive>
+std::tuple<uint64_t, uint64_t, uint64_t>
+answerOf(Drive &&drive)
+{
+    DigestSink digest;
+    auto bp = makePredictor("tage-sc-l-8KB");
+    PredictorSim sim(*bp, /*collect_per_branch=*/false);
+    drive(std::vector<TraceSink *>{&digest, &sim});
+    return {digest.digest(), digest.count(), sim.condMispreds()};
+}
 
 TraceCacheKey
 keyFor(const Workload &w, uint64_t instructions)
@@ -95,16 +112,16 @@ TEST(TraceCache, ColdRunPopulates)
     ASSERT_FALSE(cache.contains(key));
 
     CountingSink sink;
-    const uint64_t executed =
-        runWorkloadTrace(w, 0, {&sink}, kInstructions);
-    EXPECT_EQ(executed, kInstructions);
+    const Status st = captureTrace(cache, w, 0, kInstructions, {&sink});
+    EXPECT_TRUE(st.ok()) << st.str();
     EXPECT_EQ(sink.totalCount(), kInstructions);
     EXPECT_TRUE(cache.contains(key));
 
     // The published entry is a valid store holding the exact trace.
-    Status st;
-    auto reader = TraceStoreReader::open(cache.entryPath(key), &st);
-    ASSERT_NE(reader, nullptr) << st.str();
+    Status openStatus;
+    auto reader =
+        TraceStoreReader::open(cache.entryPath(key), &openStatus);
+    ASSERT_NE(reader, nullptr) << openStatus.str();
     EXPECT_EQ(reader->count(), kInstructions);
 
     // No staging debris left behind.
@@ -119,53 +136,42 @@ TEST(TraceCache, ColdRunPopulates)
 
 TEST(TraceCache, WarmRunReplaysBitIdentical)
 {
+    // The bit-identity guard of the serve corpus: for a suite workload
+    // and a synthesized one, replaying the captured entry must give
+    // exactly the records (and so the mispredicts) of a VM pass.
     CacheDirGuard guard("warm");
-    const Workload w = findWorkload("mcf_like");
+    const std::string profiles = guard.path + "/profiles";
+    std::filesystem::create_directories(profiles);
+    ASSERT_TRUE(synth::fitWorkloadProfile(findWorkload("leela_like"), 0,
+                                          kInstructions, "leela")
+                    .save(profiles + "/leela.json")
+                    .ok());
+    Workload clone;
+    ASSERT_TRUE(synth::makeSynthWorkload(
+                    "synth:" + profiles + "/leela.json:3", &clone)
+                    .ok());
+    TraceCache cache(guard.path + "/corpus");
 
-    DigestSink cold;
-    ASSERT_EQ(runWorkloadTrace(w, 0, {&cold}, kInstructions),
-              kInstructions);
-    DigestSink warm;
-    ASSERT_EQ(runWorkloadTrace(w, 0, {&warm}, kInstructions),
-              kInstructions);
-    EXPECT_EQ(warm.count(), cold.count());
-    EXPECT_EQ(warm.digest(), cold.digest())
-        << "warm replay diverged from live execution";
-}
+    for (const Workload &w : {findWorkload("mcf_like"), clone}) {
+        SCOPED_TRACE(w.name);
+        const auto vm = answerOf([&](const auto &sinks) {
+            EXPECT_EQ(runWorkloadTrace(w, 0, sinks, kInstructions),
+                      kInstructions);
+        });
+        const Status captured = captureTrace(cache, w, 0, kInstructions);
+        ASSERT_TRUE(captured.ok()) << captured.str();
 
-TEST(TraceCache, WarmRunComesFromTheCacheNotTheVm)
-{
-    CacheDirGuard guard("planted");
-    const Workload w = findWorkload("mcf_like");
-    const TraceCacheKey key = keyFor(w, kInstructions);
-    TraceCache cache(guard.path);
-
-    // Plant a store of the right length but distinctive content under
-    // the key. If the runner really replays from the cache, sinks must
-    // see the planted records, not a fresh VM execution.
-    {
-        // stagingPath() is unique per call, so take it exactly once.
-        const std::string staging = cache.stagingPath(key);
-        TraceStoreWriter writer(staging);
-        for (uint64_t i = 0; i < kInstructions; ++i) {
-            TraceRecord rec;
-            rec.ip = 0xdead0000 + i;
-            rec.fallthrough = rec.ip + 4;
-            writer.onRecord(rec);
-        }
-        writer.onEnd();
-        ASSERT_TRUE(writer.status().ok()) << writer.status().str();
-        const Status published = cache.publish(staging, key);
-        ASSERT_TRUE(published.ok()) << published.str();
+        Status st;
+        auto reader = TraceStoreReader::open(
+            cache.entryPath(keyFor(w, kInstructions)), &st);
+        ASSERT_NE(reader, nullptr) << st.str();
+        const auto replayed = answerOf([&](const auto &sinks) {
+            FanoutSink fanout(sinks);
+            EXPECT_TRUE(reader->replay(fanout, 0).ok());
+        });
+        EXPECT_EQ(std::get<1>(vm), kInstructions);
+        EXPECT_EQ(replayed, vm) << "replay diverged from live execution";
     }
-
-    VectorSink sink;
-    ASSERT_EQ(runWorkloadTrace(w, 0, {&sink}, kInstructions),
-              kInstructions);
-    ASSERT_EQ(sink.get().size(), kInstructions);
-    EXPECT_EQ(sink.get()[0].ip, 0xdead0000u);
-    EXPECT_EQ(sink.get()[kInstructions - 1].ip,
-              0xdead0000u + kInstructions - 1);
 }
 
 TEST(TraceCache, StaleKeyOnScaleChangeMisses)
@@ -174,68 +180,18 @@ TEST(TraceCache, StaleKeyOnScaleChangeMisses)
     const Workload w = findWorkload("mcf_like");
     TraceCache cache(guard.path);
 
-    CountingSink sink;
-    ASSERT_EQ(runWorkloadTrace(w, 0, {&sink}, kInstructions),
-              kInstructions);
+    ASSERT_TRUE(captureTrace(cache, w, 0, kInstructions).ok());
     EXPECT_TRUE(cache.contains(keyFor(w, kInstructions)));
 
     // A different instruction budget is a different trace: its key
-    // must miss and the run must populate a second, separate entry.
+    // must miss and the capture must publish a second, separate entry.
     const uint64_t other = kInstructions / 2;
     EXPECT_FALSE(cache.contains(keyFor(w, other)));
-    CountingSink sink2;
-    ASSERT_EQ(runWorkloadTrace(w, 0, {&sink2}, other), other);
+    ASSERT_TRUE(captureTrace(cache, w, 0, other).ok());
     EXPECT_TRUE(cache.contains(keyFor(w, other)));
     EXPECT_TRUE(cache.contains(keyFor(w, kInstructions)));
     EXPECT_NE(cache.entryPath(keyFor(w, other)),
               cache.entryPath(keyFor(w, kInstructions)));
-}
-
-TEST(TraceCache, UnusableEntryFallsBackToExecution)
-{
-    CacheDirGuard guard("fallback");
-    const Workload w = findWorkload("mcf_like");
-    const TraceCacheKey key = keyFor(w, kInstructions);
-    TraceCache cache(guard.path);
-
-    DigestSink reference;
-    ASSERT_EQ(runWorkloadTrace(w, 0, {&reference}, kInstructions),
-              kInstructions);
-
-    // Truncate the published entry so it no longer opens. The next run
-    // must fall back to live execution, still deliver the full trace,
-    // repair the cache entry, and count the corrupt eviction — and the
-    // damaged file must survive as quarantined evidence, not vanish.
-    const std::string entry = cache.entryPath(key);
-    std::filesystem::resize_file(
-        entry, std::filesystem::file_size(entry) / 2);
-    const uint64_t corruptBefore = obs::Registry::instance().counterValue(
-        "tracestore.cache.corrupt_evictions");
-    const uint64_t quarantinedBefore =
-        obs::Registry::instance().counterValue(
-            "tracestore.cache.quarantined");
-
-    DigestSink repaired;
-    ASSERT_EQ(runWorkloadTrace(w, 0, {&repaired}, kInstructions),
-              kInstructions);
-    EXPECT_EQ(repaired.digest(), reference.digest());
-    EXPECT_EQ(obs::Registry::instance().counterValue(
-                  "tracestore.cache.corrupt_evictions"),
-              corruptBefore + 1);
-    EXPECT_EQ(obs::Registry::instance().counterValue(
-                  "tracestore.cache.quarantined"),
-              quarantinedBefore + 1);
-
-    const std::string evidence =
-        guard.path + "/" + traceCacheDigest(key) + ".quarantine.0";
-    EXPECT_TRUE(std::filesystem::exists(evidence))
-        << "quarantine should preserve the damaged entry";
-
-    Status st;
-    auto reader = TraceStoreReader::open(entry, &st);
-    ASSERT_NE(reader, nullptr)
-        << "entry not repaired after fallback: " << st.str();
-    EXPECT_EQ(reader->count(), kInstructions);
 }
 
 TEST(TraceCache, OrphanGcCollectsDeadPidDebris)
@@ -332,33 +288,19 @@ TEST(TraceCache, LockBusyDegradesToUncachedRun)
     TraceCache cache(guard.path);
 
     // Pose as a live competitor mid-generation: our own pid in the
-    // lockfile. The cold run must not wait or interleave — it runs
-    // uncached, delivers the full trace, and publishes nothing.
+    // lockfile. The capture must not wait or interleave — it answers
+    // Busy at once, runs nothing, and publishes nothing.
     std::ofstream(guard.path + "/" + traceCacheDigest(key) + ".lock")
         << static_cast<long>(::getpid()) << "\n";
-    const uint64_t degradedBefore =
-        obs::Registry::instance().counterValue(
-            "core.runner.degraded_runs");
+    const uint64_t busyBefore = obs::Registry::instance().counterValue(
+        "tracestore.cache.lock_busy");
 
     CountingSink sink;
-    EXPECT_EQ(runWorkloadTrace(w, 0, {&sink}, kInstructions),
-              kInstructions);
-    EXPECT_EQ(sink.totalCount(), kInstructions);
+    EXPECT_EQ(captureTrace(cache, w, 0, kInstructions, {&sink}).code(),
+              StatusCode::Busy);
+    EXPECT_EQ(sink.totalCount(), 0u);
     EXPECT_FALSE(cache.contains(key));
     EXPECT_EQ(obs::Registry::instance().counterValue(
-                  "core.runner.degraded_runs"),
-              degradedBefore + 1);
-}
-
-TEST(TraceCache, DisabledCacheRunsLive)
-{
-    // With no cache configured the runner must execute the VM and
-    // write nothing anywhere.
-    setTraceCacheDir("");
-    const Workload w = findWorkload("mcf_like");
-    CountingSink sink;
-    EXPECT_EQ(runWorkloadTrace(w, 0, {&sink}, kInstructions),
-              kInstructions);
-    EXPECT_EQ(sink.totalCount(), kInstructions);
-    EXPECT_TRUE(traceCacheDir().empty());
+                  "tracestore.cache.lock_busy"),
+              busyBefore + 1);
 }

@@ -737,7 +737,7 @@ TEST(Signals, SigtermDuringColdTraceGenerationDrainsPromptly)
     ASSERT_GE(pid, 0);
     if (pid == 0) {
         signals::installGracefulDrain();
-        setTraceCacheDir(dir);
+        const TraceCache cache(dir);
         constexpr uint64_t kInstructions = 4000000;
         struct RaiseSigterm : TraceSink
         {
@@ -749,11 +749,12 @@ TEST(Signals, SigtermDuringColdTraceGenerationDrainsPromptly)
                     ::raise(SIGTERM);
             }
         } raiser;
-        const uint64_t got = runWorkloadTrace(
-            findWorkload("mcf_like"), 0, {&raiser}, kInstructions);
+        const Status st = captureTrace(cache, findWorkload("mcf_like"),
+                                       0, kInstructions, {&raiser});
         if (!globalCancelToken().cancelled())
             ::_exit(94);   // the sink never reached the raise
-        if (got >= kInstructions)
+        if (st.code() != StatusCode::Cancelled ||
+            raiser.seen >= kInstructions)
             ::_exit(93);   // cancelled yet ran to completion
         ::_exit(0);
     }
